@@ -27,7 +27,9 @@ class FiniteAlgebra:
     __slots__ = ("signature", "carrier_size", "tables")
 
     def __init__(self, signature: Signature, carrier_size: int, tables):
-        if not isinstance(carrier_size, int) or carrier_size < 1:
+        if type(carrier_size) is bool or not (
+            isinstance(carrier_size, int) and carrier_size >= 1
+        ):
             raise CarrierMismatchError(
                 f"carrier must have at least one element, got {carrier_size!r}"
             )
@@ -44,7 +46,9 @@ class FiniteAlgebra:
                     f"table for {sym.name} must have {want} entries, got {len(table)}"
                 )
             for value in table:
-                if not isinstance(value, int) or not 0 <= value < carrier_size:
+                if type(value) is bool or not (
+                    isinstance(value, int) and 0 <= value < carrier_size
+                ):
                     raise CarrierMismatchError(
                         f"table for {sym.name} has entry {value!r} outside the carrier"
                     )
@@ -67,27 +71,11 @@ class FiniteAlgebra:
 
     def evaluate(self, term: Term) -> int:
         """The unique homomorphic extension of the tables, applied to a
-        term.  Single right-to-left pass; safe for million-node terms."""
+        term.  Single right-to-left pass; safe for million-node terms.
+        The one loop that `evaluate_with` also runs, with no variables."""
         if term.signature != self.signature:
             raise SignatureMismatchError("term is over a different signature")
-        arities = self.signature._arities
-        tables = self.tables
-        size = self.carrier_size
-        stack = []
-        push = stack.append
-        pop = stack.pop
-        for op in reversed(term.ops):
-            a = arities[op]
-            if a == 0:
-                push(tables[op][0])
-            elif a == 1:
-                stack[-1] = tables[op][stack[-1]]
-            else:
-                index = 0
-                for _ in range(a):
-                    index = index * size + pop()
-                push(tables[op][index])
-        return stack[0]
+        return _evaluate_ops(self, len(self.signature), term.ops, ())
 
     def __eq__(self, other):
         return (
@@ -143,6 +131,32 @@ class FiniteAlgebra:
             raise FormatError(str(exc)) from None
 
 
+def _evaluate_ops(algebra, base, ops, assignment):
+    # the one evaluation loop, over checked inputs: symbols below `base` use
+    # the algebra's tables, symbol base + i is a variable set to assignment[i]
+    arities = algebra.signature._arities
+    tables = algebra.tables
+    size = algebra.carrier_size
+    stack = []
+    push = stack.append
+    pop = stack.pop
+    for op in reversed(ops):
+        if op >= base:
+            push(assignment[op - base])
+            continue
+        a = arities[op]
+        if a == 0:
+            push(tables[op][0])
+        elif a == 1:
+            stack[-1] = tables[op][stack[-1]]
+        else:
+            index = 0
+            for _ in range(a):
+                index = index * size + pop()
+            push(tables[op][index])
+    return stack[0]
+
+
 @dataclass(frozen=True)
 class HomViolation:
     """A witness that a carrier map is not a homomorphism: mapping the
@@ -169,7 +183,9 @@ def check_homomorphism(
             f"mapping must cover {source.carrier_size} elements, got {len(mapping)}"
         )
     for value in mapping:
-        if not isinstance(value, int) or not 0 <= value < target.carrier_size:
+        if type(value) is bool or not (
+            isinstance(value, int) and 0 <= value < target.carrier_size
+        ):
             raise CarrierMismatchError(
                 f"mapping value {value!r} outside the target carrier"
             )

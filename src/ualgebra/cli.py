@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 
 from .algebras import FiniteAlgebra, check_homomorphism
 from .equations import DEFAULT_BUDGET, Theory, check_model
@@ -26,37 +25,16 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 
 
-@dataclass
-class Workspace:
-    """Everything one invocation works over; all loaded pieces are checked
-    against the workspace signature."""
-
-    signature: Signature
-    algebras: dict[str, FiniteAlgebra] = field(default_factory=dict)
-    theories: dict[str, Theory] = field(default_factory=dict)
-
-    def load_algebra(self, role: str, path: str) -> FiniteAlgebra:
-        algebra = FiniteAlgebra.from_json(self.signature, _read_json(path))
-        self.algebras[role] = algebra
-        return algebra
-
-    def load_theory(self, role: str, path: str) -> Theory:
-        theory = Theory.from_json(self.signature, _read_json(path))
-        self.theories[role] = theory
-        return theory
-
-
 def _read_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise FormatError(f"{path}: {exc}") from None
 
 
-def _workspace(args) -> Workspace:
-    signature = Signature.from_json(_read_json(args.sig), limit=args.max_arity)
-    return Workspace(signature)
+def _signature(args) -> Signature:
+    return Signature.from_json(_read_json(args.sig), limit=args.max_arity)
 
 
 def _emit(report: dict):
@@ -64,7 +42,7 @@ def _emit(report: dict):
 
 
 def cmd_check(args) -> int:
-    sig = _workspace(args).signature
+    sig = _signature(args)
     checked = []
     for text in args.terms:
         ops = parse_oplist(sig, text)
@@ -98,7 +76,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_depth(args) -> int:
-    sig = _workspace(args).signature
+    sig = _signature(args)
     term = parse_term(sig, args.term)
     result = depth(term)
     if args.json:
@@ -109,9 +87,9 @@ def cmd_depth(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    workspace = _workspace(args)
-    algebra = workspace.load_algebra("alg", args.alg)
-    term = parse_term(workspace.signature, args.term)
+    sig = _signature(args)
+    algebra = FiniteAlgebra.from_json(sig, _read_json(args.alg))
+    term = parse_term(sig, args.term)
     value = algebra.evaluate(term)
     if args.json:
         _emit({"command": "eval", "term": format_term(term), "value": value})
@@ -138,9 +116,9 @@ def _parse_map(text: str, size: int) -> list[int]:
 
 
 def cmd_hom(args) -> int:
-    workspace = _workspace(args)
-    source = workspace.load_algebra("from", args.source_path)
-    target = workspace.load_algebra("to", args.target_path)
+    sig = _signature(args)
+    source = FiniteAlgebra.from_json(sig, _read_json(args.source_path))
+    target = FiniteAlgebra.from_json(sig, _read_json(args.target_path))
     mapping = _parse_map(args.map, source.carrier_size)
     violation = check_homomorphism(source, target, mapping)
     if args.json:
@@ -162,9 +140,9 @@ def cmd_hom(args) -> int:
 
 
 def cmd_sat(args) -> int:
-    workspace = _workspace(args)
-    algebra = workspace.load_algebra("alg", args.alg)
-    theory = workspace.load_theory("theory", args.theory)
+    sig = _signature(args)
+    algebra = FiniteAlgebra.from_json(sig, _read_json(args.alg))
+    theory = Theory.from_json(sig, _read_json(args.theory))
     failure = check_model(algebra, theory, budget=args.budget)
     if args.json:
         report = {
@@ -185,7 +163,7 @@ def cmd_sat(args) -> int:
 
 
 def cmd_enum(args) -> int:
-    sig = _workspace(args).signature
+    sig = _signature(args)
     terms = enumerate_terms(sig, args.max_len, limit=args.limit)
     if args.json:
         _emit(

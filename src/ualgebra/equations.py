@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .algebras import FiniteAlgebra
+from .algebras import FiniteAlgebra, _evaluate_ops
 from .errors import (
     BudgetExceededError,
     CarrierMismatchError,
@@ -149,7 +149,8 @@ def evaluate_with(
     assignment: Sequence[int],
 ) -> int:
     """Evaluate a term over the extended signature: base symbols use the
-    algebra's tables, variable i takes assignment[i]."""
+    algebra's tables, variable i takes assignment[i].  Runs the same loop
+    as `FiniteAlgebra.evaluate`."""
     base = _check_compatible(algebra, context_size, term)
     assignment = tuple(assignment)
     if len(assignment) != context_size:
@@ -157,33 +158,11 @@ def evaluate_with(
             f"assignment must have {context_size} values, got {len(assignment)}"
         )
     for value in assignment:
-        if not isinstance(value, int) or not 0 <= value < algebra.carrier_size:
+        if type(value) is bool or not (
+            isinstance(value, int) and 0 <= value < algebra.carrier_size
+        ):
             raise CarrierMismatchError(f"assignment value {value!r} outside the carrier")
-    return _eval_extended(algebra, base, term.ops, assignment)
-
-
-def _eval_extended(algebra, base, ops, assignment):
-    arities = algebra.signature._arities
-    tables = algebra.tables
-    size = algebra.carrier_size
-    stack = []
-    push = stack.append
-    pop = stack.pop
-    for op in reversed(ops):
-        if op >= base:
-            push(assignment[op - base])
-            continue
-        a = arities[op]
-        if a == 0:
-            push(tables[op][0])
-        elif a == 1:
-            stack[-1] = tables[op][stack[-1]]
-        else:
-            index = 0
-            for _ in range(a):
-                index = index * size + pop()
-            push(tables[op][index])
-    return stack[0]
+    return _evaluate_ops(algebra, base, term.ops, assignment)
 
 
 def find_violation(
@@ -191,8 +170,8 @@ def find_violation(
 ) -> tuple[int, ...] | None:
     """Lexicographically least assignment on which the sides differ, or
     None when the algebra satisfies the equation."""
+    # Equation already proved rhs shares lhs's signature and variables
     base = _check_compatible(algebra, equation.context_size, equation.lhs)
-    _check_compatible(algebra, equation.context_size, equation.rhs)
     n = equation.context_size
     count = algebra.carrier_size ** n
     if count > budget:
@@ -202,7 +181,7 @@ def find_violation(
     lhs_ops = equation.lhs.ops
     rhs_ops = equation.rhs.ops
     for assignment in itertools.product(range(algebra.carrier_size), repeat=n):
-        if _eval_extended(algebra, base, lhs_ops, assignment) != _eval_extended(
+        if _evaluate_ops(algebra, base, lhs_ops, assignment) != _evaluate_ops(
             algebra, base, rhs_ops, assignment
         ):
             return assignment

@@ -91,10 +91,15 @@ def split_terms(signature: Signature, ops: Sequence[int], n: int) -> list[tuple[
     term: scanning left to right, a term ends exactly where the count of
     still-needed arguments first reaches zero.
     """
-    ops = check_indices(signature, ops)
+    ops = tuple(ops)
     status = status_of(signature, ops)
     if status != Ok(n):
         raise StatusMismatchError(f"expected status Ok({n}), got {status}")
+    return _split_valid(signature, ops, n)
+
+
+def _split_valid(signature: Signature, ops: tuple[int, ...], n: int) -> list[tuple[int, ...]]:
+    # the left-to-right cut of split_terms; caller guarantees status Ok(n)
     arities = signature._arities
     parts = []
     i = 0

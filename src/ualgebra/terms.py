@@ -15,7 +15,7 @@ from .errors import (
     LimitExceededError,
     SignatureMismatchError,
 )
-from .oplist import Ok, check_indices, split_terms, status_of
+from .oplist import Ok, _split_valid, status_of
 from .signature import OpSymbol, Signature
 
 # step(symbol, child_results) -> result, total on the signature
@@ -35,7 +35,7 @@ class Term:
     __slots__ = ("signature", "ops")
 
     def __init__(self, signature: Signature, ops: Sequence[int]):
-        ops = check_indices(signature, ops)
+        ops = tuple(ops)
         status = status_of(signature, ops)
         if status != Ok(1):
             raise InvalidTermError(f"not a term: status {status}")
@@ -96,7 +96,7 @@ def destructure(term: Term) -> tuple[OpSymbol, list[Term]]:
     signature = term.signature
     head = term.ops[0]
     arity = signature._arities[head]
-    parts = split_terms(signature, term.ops[1:], arity)
+    parts = _split_valid(signature, term.ops[1:], arity)
     return signature.symbols[head], [Term._wrap(signature, p) for p in parts]
 
 
@@ -160,11 +160,13 @@ def enumerate_terms(
     |signature|^n lists; the filter version lives in the test suite as
     the correctness oracle.
     """
+    if max_len < 0:
+        raise LimitExceededError(f"max_len must not be negative, got {max_len}")
     if max_len > limit:
         raise LimitExceededError(
             f"max_len {max_len} exceeds enumeration limit {limit}"
         )
-    by_len: list[list[tuple[int, ...]]] = [[] for _ in range(max(max_len, 0) + 1)]
+    by_len: list[list[tuple[int, ...]]] = [[] for _ in range(max_len + 1)]
     for length in range(1, max_len + 1):
         found = []
         lengths = [l for l in range(1, length) if by_len[l]]

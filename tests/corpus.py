@@ -1,4 +1,7 @@
-"""Shared corpus: three signatures and a few finite algebras over them."""
+"""Shared corpus: three signatures, a few finite algebras over them, and
+a strategy for random small algebras."""
+
+from hypothesis import strategies as st
 
 from ualgebra.algebras import FiniteAlgebra
 from ualgebra.signature import Signature
@@ -42,3 +45,15 @@ ALGEBRAS = {id(NAT): N4, id(BIN): BIN_MOD3, id(TERN): TERN_MOD3}
 
 def algebra_for(signature):
     return ALGEBRAS[id(signature)]
+
+
+@st.composite
+def small_algebras(draw):
+    """A random algebra with carrier size 1-3 over a corpus signature."""
+    sig = draw(st.sampled_from(CORPUS))
+    size = draw(st.integers(1, 3))
+    tables = [
+        draw(st.lists(st.integers(0, size - 1), min_size=size ** a, max_size=size ** a))
+        for _, a in sig.entries()
+    ]
+    return FiniteAlgebra(sig, size, tables)

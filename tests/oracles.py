@@ -1,10 +1,12 @@
 """Independent reference implementations used to cross-check the kernel.
 
 Everything here is deliberately naive: a recursive-descent reader of the
-flat encoding, tree-recursive folds over the trees it produces, a
-materialized-stack rerun of the machine, and brute-force enumeration /
-factorization.  Only ever run on small inputs.
+flat encoding, tree-recursive folds and evaluation over the trees it
+produces, a materialized-stack rerun of the machine, and brute-force
+enumeration / factorization / satisfaction.  Only ever run on small inputs.
 """
+
+import itertools
 
 from ualgebra.oplist import UNDERFLOW, Error, Ok
 
@@ -82,6 +84,35 @@ def tree_eval(algebra, tree):
     op, children = tree
     values = [tree_eval(algebra, c) for c in children]
     return algebra.apply(algebra.signature.symbols[op], values)
+
+
+def tree_eval_with(algebra, base, tree, assignment):
+    """Recursive evaluation over the algebra's signature extended with
+    variables: symbol base + i is variable i and takes assignment[i]."""
+    op, children = tree
+    if op >= base:
+        return assignment[op - base]
+    values = [tree_eval_with(algebra, base, c, assignment) for c in children]
+    return algebra.apply(algebra.signature.symbols[op], values)
+
+
+def least_violation(algebra, equation):
+    """The least of all assignments on which the two sides, read as trees,
+    evaluate differently; None when the algebra satisfies the equation."""
+    base = len(algebra.signature)
+    extended = equation.lhs.signature
+    lhs = tree_of(extended, equation.lhs.ops)
+    rhs = tree_of(extended, equation.rhs.ops)
+    assignments = itertools.product(
+        range(algebra.carrier_size), repeat=equation.context_size
+    )
+    violations = [
+        asg
+        for asg in assignments
+        if tree_eval_with(algebra, base, lhs, asg)
+        != tree_eval_with(algebra, base, rhs, asg)
+    ]
+    return min(violations, default=None)
 
 
 def all_oplists(signature, max_len):

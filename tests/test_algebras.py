@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +10,18 @@ from ualgebra.signature import Signature
 from ualgebra.terms import Term, build_term, destructure, enumerate_terms, fold
 
 import oracles
-from corpus import BIN, BIN_MOD3, CORPUS, N2, N4, N8, NAT, TERN_MOD3, algebra_for
+from corpus import (
+    BIN,
+    BIN_MOD3,
+    CORPUS,
+    N2,
+    N4,
+    N8,
+    NAT,
+    TERN_MOD3,
+    algebra_for,
+    small_algebras,
+)
 
 Z, S = 0, 1
 
@@ -27,6 +40,17 @@ def test_table_shape_validation():
         FiniteAlgebra(NAT, 2, [[0], [1, 0, 1]])
     with pytest.raises(CarrierMismatchError, match="outside the carrier"):
         FiniteAlgebra(NAT, 2, [[0], [1, 2]])
+
+
+def test_carrier_size_rejects_bool():
+    with pytest.raises(CarrierMismatchError, match="carrier"):
+        FiniteAlgebra(NAT, True, [[0], [0]])
+
+
+def test_table_entries_reject_bool():
+    # equal to the 0/1 tables, but to_json would write false/true
+    with pytest.raises(CarrierMismatchError, match="outside the carrier"):
+        FiniteAlgebra(NAT, 2, [[False], [True, False]])
 
 
 def test_apply_uses_leftmost_most_significant_order():
@@ -157,12 +181,26 @@ def test_mapping_validation():
         check_homomorphism(N4, BIN_MOD3, [0, 0, 0, 0])
 
 
+def test_mapping_rejects_bool():
+    with pytest.raises(CarrierMismatchError, match="mapping value"):
+        check_homomorphism(N4, N2, [False, True, False, True])
+
+
 # ------------------------------------------------------------ JSON form
 
 def test_json_round_trip():
     data = N4.to_json()
     assert data == {"carrier": 4, "tables": {"z": [0], "s": [1, 2, 3, 0]}}
     assert FiniteAlgebra.from_json(NAT, data) == N4
+
+
+@settings(max_examples=50, deadline=None)
+@given(algebra=small_algebras())
+def test_json_text_round_trip(algebra):
+    """Every algebra the constructor accepts comes back equal from its
+    JSON text."""
+    data = json.loads(json.dumps(algebra.to_json()))
+    assert FiniteAlgebra.from_json(algebra.signature, data) == algebra
 
 
 @pytest.mark.parametrize(

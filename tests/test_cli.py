@@ -260,6 +260,13 @@ def test_enum_over_limit(capsys):
     assert len(out.splitlines()) == 13
 
 
+def test_enum_zero_and_negative_length(capsys):
+    assert_golden(capsys, ["enum", "--sig", NAT, "--max-len", "0"], 0, "")
+    code, out, err = run(capsys, "enum", "--sig", NAT, "--max-len", "-3")
+    assert code == 2 and out == ""
+    assert err.startswith("ua: error:") and err.count("\n") == 1
+
+
 # ------------------------------------------------------------ failures
 
 def test_missing_file(capsys):
@@ -276,6 +283,20 @@ def test_malformed_signature_file(capsys):
 def test_invalid_json_file(capsys):
     code, _, err = run(capsys, "depth", "--sig", str(DATA / "invalid.json"), "z")
     assert code == 2
+
+
+def test_deeply_nested_json_is_usage_error(tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200000 + "]" * 200000)
+    proc = subprocess.run(
+        [sys.executable, "-m", "ualgebra", "depth", "--sig", str(deep), "z"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("ua: error:") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
 
 
 def test_max_arity_flag_rejects_signature(capsys):

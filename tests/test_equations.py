@@ -1,11 +1,10 @@
-import itertools
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ualgebra.algebras import FiniteAlgebra
 from ualgebra.equations import (
+    Equation,
     Theory,
     check_model,
     evaluate_with,
@@ -23,7 +22,8 @@ from ualgebra.errors import (
 from ualgebra.signature import Signature
 from ualgebra.terms import Term, enumerate_terms
 
-from corpus import N4, NAT
+import oracles
+from corpus import N4, NAT, small_algebras
 
 XOR = Signature([("xor", 2), ("e", 0)])
 B2_XOR = FiniteAlgebra(XOR, 2, [[0, 1, 1, 0], [0]])
@@ -71,6 +71,12 @@ def test_assignment_validation():
         evaluate_with(N4, 1, eq.lhs, (4,))
 
 
+def test_assignment_rejects_bool():
+    eq = parse_equation(NAT, ["x"], "s(x)", "x")
+    with pytest.raises(CarrierMismatchError):
+        evaluate_with(N4, 1, eq.lhs, (True,))
+
+
 # ------------------------------------------------------------ satisfaction
 
 def test_xor_commutativity_holds():
@@ -103,13 +109,7 @@ def test_ground_equation_reduces_to_eval():
 
 def test_counterexample_minimality_against_full_enumeration():
     eq = parse_equation(NAT, ["x", "y"], "s(x)", "s(y)")
-    got = find_violation(N4, eq)
-    violations = [
-        asg
-        for asg in itertools.product(range(4), repeat=2)
-        if evaluate_with(N4, 2, eq.lhs, asg) != evaluate_with(N4, 2, eq.rhs, asg)
-    ]
-    assert got == min(violations) == (0, 1)
+    assert find_violation(N4, eq) == oracles.least_violation(N4, eq) == (0, 1)
 
 
 @settings(max_examples=100, deadline=None)
@@ -117,14 +117,27 @@ def test_counterexample_minimality_against_full_enumeration():
 def test_counterexample_minimality_random_tables(table):
     algebra = FiniteAlgebra(PROJ, 2, [table])
     eq = parse_equation(PROJ, ["x", "y"], "proj(x,y)", "proj(y,x)")
-    got = find_violation(algebra, eq)
-    violations = [
-        asg
-        for asg in itertools.product(range(2), repeat=2)
-        if evaluate_with(algebra, 2, eq.lhs, asg)
-        != evaluate_with(algebra, 2, eq.rhs, asg)
-    ]
-    assert got == (min(violations) if violations else None)
+    assert find_violation(algebra, eq) == oracles.least_violation(algebra, eq)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_satisfaction_agrees_with_tree_oracle(data):
+    """Random small algebras and random equations with 0-3 variables:
+    find_violation and evaluate_with match the recursive tree oracle."""
+    algebra = data.draw(small_algebras())
+    sig, size = algebra.signature, algebra.carrier_size
+    n = data.draw(st.integers(0, 3))
+    extended = sig.extend_with_variables(n)
+    pool = enumerate_terms(extended, 5)
+    eq = Equation(n, data.draw(st.sampled_from(pool)), data.draw(st.sampled_from(pool)))
+    assert find_violation(algebra, eq) == oracles.least_violation(algebra, eq)
+    assignment = tuple(data.draw(st.integers(0, size - 1)) for _ in range(n))
+    for side in (eq.lhs, eq.rhs):
+        tree = oracles.tree_of(extended, side.ops)
+        assert evaluate_with(algebra, n, side, assignment) == oracles.tree_eval_with(
+            algebra, len(sig), tree, assignment
+        )
 
 
 def test_substitution_coherence():

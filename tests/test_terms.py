@@ -203,6 +203,11 @@ def test_enumerate_zero_length():
     assert enumerate_terms(NAT, 0) == []
 
 
+def test_enumerate_rejects_negative_length():
+    with pytest.raises(LimitExceededError, match="negative"):
+        enumerate_terms(NAT, -3)
+
+
 @pytest.mark.parametrize("sig", CORPUS, ids=["nat", "bin", "tern"])
 def test_enumerate_agrees_with_filter_oracle(sig):
     got = [t.ops for t in enumerate_terms(sig, 7)]
