@@ -45,13 +45,7 @@ class FiniteAlgebra:
                 raise CarrierMismatchError(
                     f"table for {sym.name} must have {want} entries, got {len(table)}"
                 )
-            for value in table:
-                if type(value) is bool or not (
-                    isinstance(value, int) and 0 <= value < carrier_size
-                ):
-                    raise CarrierMismatchError(
-                        f"table for {sym.name} has entry {value!r} outside the carrier"
-                    )
+            _check_elements(table, carrier_size, f"table for {sym.name} has entry")
         self.signature = signature
         self.carrier_size = carrier_size
         self.tables = tables
@@ -62,10 +56,9 @@ class FiniteAlgebra:
         if len(args) != sym.arity:
             raise ArityMismatchError(sym.name, sym.arity, len(args))
         size = self.carrier_size
+        _check_elements(args, size, "argument")
         index = 0
         for x in args:
-            if not 0 <= x < size:
-                raise CarrierMismatchError(f"argument {x!r} outside the carrier")
             index = index * size + x
         return self.tables[sym.index][index]
 
@@ -120,15 +113,21 @@ class FiniteAlgebra:
         ordered = []
         for sym in signature.symbols:
             table = tables[sym.name]
-            if not isinstance(table, list) or not all(
-                isinstance(v, int) and not isinstance(v, bool) for v in table
-            ):
+            if not isinstance(table, list):
                 raise FormatError(f"table for {sym.name} must be an array of integers")
             ordered.append(table)
         try:
             return cls(signature, carrier, ordered)
         except CarrierMismatchError as exc:
             raise FormatError(str(exc)) from None
+
+
+def _check_elements(values, size, what, where="the carrier"):
+    # one call per sequence: every value must be an int (never a bool)
+    # in range(size); the message names the first one that is not
+    for value in values:
+        if type(value) is bool or not (isinstance(value, int) and 0 <= value < size):
+            raise CarrierMismatchError(f"{what} {value!r} outside {where}")
 
 
 def _evaluate_ops(algebra, base, ops, assignment):
@@ -182,13 +181,9 @@ def check_homomorphism(
         raise CarrierMismatchError(
             f"mapping must cover {source.carrier_size} elements, got {len(mapping)}"
         )
-    for value in mapping:
-        if type(value) is bool or not (
-            isinstance(value, int) and 0 <= value < target.carrier_size
-        ):
-            raise CarrierMismatchError(
-                f"mapping value {value!r} outside the target carrier"
-            )
+    _check_elements(
+        mapping, target.carrier_size, "mapping value", "the target carrier"
+    )
     s_size = source.carrier_size
     t_size = target.carrier_size
     for sym in source.signature.symbols:

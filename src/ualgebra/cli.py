@@ -3,13 +3,14 @@
 Exit codes: 0 = positive result, 1 = negative mathematical result (invalid
 term, not a homomorphism, not a model), 2 = usage, I/O, or parse failure.
 Reports go to stdout, diagnostics to stderr, and identical inputs produce
-byte-identical reports.
+byte-identical reports.  A reader that closes stdout early gets exit 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .algebras import FiniteAlgebra, check_homomorphism
@@ -259,10 +260,19 @@ def main(argv=None) -> int:
         # argparse already printed usage; normalize --help's exit 0
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed pipe then fails here, not at exit
+        return code
     except UAlgebraError as exc:
         print(f"ua: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # the reader closed stdout early (`ua enum ... | head`): not an
+        # error; send what is still buffered to devnull at exit
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except OSError as exc:
         print(f"ua: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

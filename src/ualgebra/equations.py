@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .algebras import FiniteAlgebra, _evaluate_ops
+from .algebras import FiniteAlgebra, _check_elements, _evaluate_ops
 from .errors import (
     BudgetExceededError,
     CarrierMismatchError,
@@ -157,11 +157,7 @@ def evaluate_with(
         raise CarrierMismatchError(
             f"assignment must have {context_size} values, got {len(assignment)}"
         )
-    for value in assignment:
-        if type(value) is bool or not (
-            isinstance(value, int) and 0 <= value < algebra.carrier_size
-        ):
-            raise CarrierMismatchError(f"assignment value {value!r} outside the carrier")
+    _check_elements(assignment, algebra.carrier_size, "assignment value")
     return _evaluate_ops(algebra, base, term.ops, assignment)
 
 

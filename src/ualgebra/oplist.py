@@ -114,14 +114,14 @@ def _split_valid(signature: Signature, ops: tuple[int, ...], n: int) -> list[tup
 
 
 def parse_oplist(signature: Signature, text: str) -> tuple[int, ...]:
-    """Read the textual oplist form: whitespace-separated display names."""
-    ops = []
-    for pos, word in enumerate(text.split()):
-        try:
-            ops.append(signature._by_name[word])
-        except KeyError:
-            raise UnknownSymbolError(word, pos) from None
-    return tuple(ops)
+    """Read the textual oplist form: whitespace-separated display names.
+    An unknown name's position is its word index, found only on failure."""
+    words = text.split()
+    try:
+        return tuple(map(signature._by_name.__getitem__, words))
+    except KeyError as exc:
+        word = exc.args[0]
+        raise UnknownSymbolError(word, words.index(word)) from None
 
 
 def format_oplist(signature: Signature, ops: Sequence[int]) -> str:

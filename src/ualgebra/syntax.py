@@ -2,45 +2,31 @@
 
 Nullary symbols may be written with or without `()`; the printer
 (`format_term`) always omits them.  Positions in errors are 0-based
-character offsets into the input text.
+character offsets into the input text.  The parser walks plain string
+tokens; offsets are computed only on the error path, by scanning the
+text again.
 """
 
 from __future__ import annotations
 
-from .errors import (
-    ArityMismatchError,
-    InvalidSymbolError,
-    TermSyntaxError,
-    UnknownSymbolError,
-)
+import re
+
+from .errors import ArityMismatchError, TermSyntaxError, UnknownSymbolError
 from .signature import OpSymbol, Signature
 from .terms import Term, format_term
 
 __all__ = ["parse_term", "format_term"]
 
-_NAME, _LPAREN, _RPAREN, _COMMA, _END = range(5)
-_DELIMS = {"(": _LPAREN, ")": _RPAREN, ",": _COMMA}
+# a delimiter, or a maximal run of anything else that is not whitespace
+_TOKEN = re.compile(r"[(),]|[^\s(),]+")
 
 
-def _tokenize(text: str):
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _DELIMS:
-            tokens.append((_DELIMS[ch], ch, i))
-            i += 1
-            continue
-        j = i
-        while j < n and not text[j].isspace() and text[j] not in _DELIMS:
-            j += 1
-        tokens.append((_NAME, text[i:j], i))
-        i = j
-    tokens.append((_END, "", n))
-    return tokens
+def _offset(text: str, k: int) -> int:
+    # character offset of token k; the end marker sits at len(text)
+    for i, match in enumerate(_TOKEN.finditer(text)):
+        if i == k:
+            return match.start()
+    return len(text)
 
 
 def parse_term(
@@ -52,54 +38,56 @@ def parse_term(
     (used for equation variables); aliases win over signature names.
     The parse is iterative, so input depth is unbounded.
     """
-    tokens = _tokenize(text)
+    tokens = _TOKEN.findall(text)
+    tokens.append("")  # end marker
+    names = signature._by_name
+    if aliases:
+        names = {**names, **{name: sym.index for name, sym in aliases.items()}}
+    arities = signature._arities
     pos = 0
     ops: list[int] = []
-    # open applications: [name, expected arity, children seen, name offset]
+    # open applications: [token index of the name, expected arity, children seen]
     frames: list[list] = []
 
     while True:
-        kind, value, at = tokens[pos]
-        if kind != _NAME:
-            raise TermSyntaxError("expected a symbol name", at)
-        if aliases and value in aliases:
-            sym = aliases[value]
-        else:
-            try:
-                sym = signature.symbol(value)
-            except InvalidSymbolError:
-                raise UnknownSymbolError(value, at) from None
-        ops.append(sym.index)
-        arity = sym.arity
+        at = pos
+        name = tokens[at]
+        # a delimiter or the end marker "", even where a symbol has that name
+        if name in "(),":
+            raise TermSyntaxError("expected a symbol name", _offset(text, at))
+        try:
+            op = names[name]
+        except KeyError:
+            raise UnknownSymbolError(name, _offset(text, at)) from None
+        ops.append(op)
+        arity = arities[op]
         pos += 1
-        if tokens[pos][0] == _LPAREN:
-            pos += 1
-            if tokens[pos][0] == _RPAREN:
+        if tokens[pos] == "(":
+            if tokens[pos + 1] != ")":
+                frames.append([at, arity, 0])
                 pos += 1
-                if arity != 0:
-                    raise ArityMismatchError(value, arity, 0, position=at)
-            else:
-                frames.append([value, arity, 0, at])
                 continue
-        elif arity != 0:
-            raise ArityMismatchError(value, arity, 0, position=at)
+            pos += 2
+        if arity != 0:
+            raise ArityMismatchError(name, arity, 0, position=_offset(text, at))
 
         # a complete subterm just ended: attach it and close finished frames
         while True:
+            token = tokens[pos]
             if not frames:
-                kind, _, at = tokens[pos]
-                if kind != _END:
-                    raise TermSyntaxError("unexpected trailing input", at)
+                if token:
+                    raise TermSyntaxError("unexpected trailing input", _offset(text, pos))
                 return Term._wrap(signature, tuple(ops))
             frames[-1][2] += 1
-            kind, _, at = tokens[pos]
-            if kind == _COMMA:
+            if token == ",":
                 pos += 1
                 break
-            if kind == _RPAREN:
+            if token == ")":
                 pos += 1
-                name, expected, got, name_at = frames.pop()
+                at, expected, got = frames.pop()
                 if got != expected:
-                    raise ArityMismatchError(name, expected, got, position=name_at)
+                    raise ArityMismatchError(
+                        tokens[at], expected, got, position=_offset(text, at)
+                    )
                 continue
-            raise TermSyntaxError("expected ',' or ')'", at)
+            raise TermSyntaxError("expected ',' or ')'", _offset(text, pos))

@@ -2,13 +2,23 @@
 
 Everything here is deliberately naive: a recursive-descent reader of the
 flat encoding, tree-recursive folds and evaluation over the trees it
-produces, a materialized-stack rerun of the machine, and brute-force
-enumeration / factorization / satisfaction.  Only ever run on small inputs.
+produces, a materialized-stack rerun of the machine, brute-force
+enumeration / factorization / satisfaction, and the character-by-character
+term reader that `ualgebra.syntax.parse_term` replaced.  Only ever run on
+small inputs.
 """
 
 import itertools
 
+from ualgebra.errors import (
+    ArityMismatchError,
+    InvalidSymbolError,
+    TermSyntaxError,
+    UnknownSymbolError,
+)
 from ualgebra.oplist import UNDERFLOW, Error, Ok
+from ualgebra.signature import OpSymbol, Signature
+from ualgebra.terms import Term
 
 
 def read_one(signature, ops, start):
@@ -161,3 +171,94 @@ def brute_force_splits(signature, ops, n):
 
     go(0, [])
     return results
+
+
+# ------------------------------------------------ reference term reader
+
+_NAME, _LPAREN, _RPAREN, _COMMA, _END = range(5)
+_DELIMS = {"(": _LPAREN, ")": _RPAREN, ",": _COMMA}
+
+
+def _tokenize(text: str):
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in _DELIMS:
+            tokens.append((_DELIMS[ch], ch, i))
+            i += 1
+            continue
+        j = i
+        while j < n and not text[j].isspace() and text[j] not in _DELIMS:
+            j += 1
+        tokens.append((_NAME, text[i:j], i))
+        i = j
+    tokens.append((_END, "", n))
+    return tokens
+
+
+def reference_parse_term(
+    signature: Signature, text: str, aliases: dict[str, OpSymbol] | None = None
+) -> Term:
+    """Parse functional notation into a Term over the signature, reading
+    the text one character at a time into (kind, text, offset) tokens: the
+    reference for `parse_term`'s results, messages and positions.
+
+    `aliases` may map extra surface names to symbols of the signature
+    (used for equation variables); aliases win over signature names.
+    The parse is iterative, so input depth is unbounded.
+    """
+    tokens = _tokenize(text)
+    pos = 0
+    ops: list[int] = []
+    # open applications: [name, expected arity, children seen, name offset]
+    frames: list[list] = []
+
+    while True:
+        kind, value, at = tokens[pos]
+        if kind != _NAME:
+            raise TermSyntaxError("expected a symbol name", at)
+        if aliases and value in aliases:
+            sym = aliases[value]
+        else:
+            try:
+                sym = signature.symbol(value)
+            except InvalidSymbolError:
+                raise UnknownSymbolError(value, at) from None
+        ops.append(sym.index)
+        arity = sym.arity
+        pos += 1
+        if tokens[pos][0] == _LPAREN:
+            pos += 1
+            if tokens[pos][0] == _RPAREN:
+                pos += 1
+                if arity != 0:
+                    raise ArityMismatchError(value, arity, 0, position=at)
+            else:
+                frames.append([value, arity, 0, at])
+                continue
+        elif arity != 0:
+            raise ArityMismatchError(value, arity, 0, position=at)
+
+        # a complete subterm just ended: attach it and close finished frames
+        while True:
+            if not frames:
+                kind, _, at = tokens[pos]
+                if kind != _END:
+                    raise TermSyntaxError("unexpected trailing input", at)
+                return Term._wrap(signature, tuple(ops))
+            frames[-1][2] += 1
+            kind, _, at = tokens[pos]
+            if kind == _COMMA:
+                pos += 1
+                break
+            if kind == _RPAREN:
+                pos += 1
+                name, expected, got, name_at = frames.pop()
+                if got != expected:
+                    raise ArityMismatchError(name, expected, got, position=name_at)
+                continue
+            raise TermSyntaxError("expected ',' or ')'", at)

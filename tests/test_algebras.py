@@ -64,6 +64,9 @@ def test_apply_uses_leftmost_most_significant_order():
 def test_apply_validates_arguments():
     with pytest.raises(CarrierMismatchError):
         N4.apply("s", (4,))
+    for bad in (True, 1.0, "1", -1):
+        with pytest.raises(CarrierMismatchError, match="argument .* outside the carrier"):
+            N4.apply("s", (bad,))
     from ualgebra.errors import ArityMismatchError
 
     with pytest.raises(ArityMismatchError):
@@ -213,6 +216,9 @@ def test_json_text_round_trip(algebra):
         {"carrier": 2, "tables": {"z": [0], "s": [1, 0], "q": [0]}},
         {"carrier": 2, "tables": {"z": [0], "s": [1, 0, 1]}},
         {"carrier": 2, "tables": {"z": [0], "s": [1, "0"]}},
+        {"carrier": 2, "tables": {"z": [0], "s": [1, 0.0]}},
+        {"carrier": 2, "tables": {"z": [0], "s": [1, True]}},
+        {"carrier": 2, "tables": {"z": [0], "s": "10"}},
         {"carrier": 2, "tables": {"z": [2], "s": [1, 0]}},
     ],
 )

@@ -299,6 +299,27 @@ def test_deeply_nested_json_is_usage_error(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_closed_stdout_is_not_an_error(tmp_path):
+    # one binary operation and three constants: 34491 terms of length <= 11
+    sig = tmp_path / "sig.json"
+    sig.write_text(json.dumps({"symbols": [
+        {"name": "f", "arity": 2},
+        {"name": "a", "arity": 0},
+        {"name": "b", "arity": 0},
+        {"name": "c", "arity": 0},
+    ]}))
+    with subprocess.Popen(
+        [sys.executable, "-m", "ualgebra", "enum", "--sig", str(sig), "--max-len", "11"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as proc:
+        assert proc.stdout.readline() == b"a\n"
+        proc.stdout.close()  # like `| head -1`
+        err = proc.stderr.read()
+    assert proc.returncode == 0
+    assert err == b""
+
+
 def test_max_arity_flag_rejects_signature(capsys):
     code, _, err = run(
         capsys, "check", "--sig", XOR, "--max-arity", "1", "xor e e"

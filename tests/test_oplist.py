@@ -179,6 +179,16 @@ def test_parse_oplist_unknown_name():
     assert info.value.position == 1
 
 
+@pytest.mark.parametrize(
+    "text,position", [("s q z q", 1), ("z\ts  s\nw q w", 3)]
+)
+def test_parse_oplist_position_of_repeated_unknown_name(text, position):
+    with pytest.raises(UnknownSymbolError) as info:
+        parse_oplist(NAT, text)
+    assert info.value.position == position
+    assert info.value.name == text.split()[position]
+
+
 def test_format_oplist_round_trip():
     text = "s s s s z"
     assert format_oplist(NAT, parse_oplist(NAT, text)) == text

@@ -3,10 +3,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ualgebra.errors import ArityMismatchError, TermSyntaxError, UnknownSymbolError
+from ualgebra.signature import Signature
 from ualgebra.syntax import format_term, parse_term
 from ualgebra.terms import Term
 
 from corpus import BIN, CORPUS, NAT, TERN
+from oracles import reference_parse_term
 from test_terms import terms
 
 Z, S = 0, 1
@@ -106,3 +108,49 @@ def test_aliases_resolve_before_signature_names():
     var = ext.symbols[2]
     t = parse_term(ext, "s(v)", aliases={"v": var})
     assert t.ops == (S, 2)
+
+
+# ------------------------------------------------ differential: reference reader
+
+# symbols named like delimiters must still read as delimiters
+DELIM_NAMED = Signature([("(", 0), (",", 2), ("f", 2), ("a", 0)])
+# a name with a space in it can never be one token
+SPACED = Signature([("a b", 0), ("a", 0), ("g", 1)])
+READER_SIGS = CORPUS + [DELIM_NAMED, SPACED]
+
+
+def _outcome(parse, signature, text, aliases):
+    try:
+        return "ok", parse(signature, text, aliases=aliases).ops
+    except (TermSyntaxError, ArityMismatchError) as exc:
+        return type(exc), str(exc), exc.position
+
+
+@pytest.mark.parametrize("with_alias", [False, True], ids=["plain", "alias"])
+@pytest.mark.parametrize(
+    "sig", READER_SIGS, ids=["nat", "bin", "tern", "delim-named", "spaced"]
+)
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_parser_agrees_with_reference_reader(sig, with_alias, data):
+    aliases = None
+    if with_alias:
+        sig = sig.extend_with_variables(1)
+        var = sig.symbols[-1]
+        # one fresh alias and one that shadows the first symbol's name
+        aliases = {"v": var, sig.symbols[0].name: var}
+    names = [sym.name for sym in sig.symbols] + ["v", "q"]
+    pieces = st.sampled_from(
+        names + ["(", ")", ",", "()", " ", "\t", "\n", "\u00a0"]
+    )
+    if data.draw(st.booleans()):
+        text = "".join(data.draw(st.lists(pieces, max_size=24)))
+    else:
+        # a printed term with one span replaced: mostly deep, nearly valid
+        printed = format_term(data.draw(terms(sig)))
+        i = data.draw(st.integers(0, len(printed)))
+        j = data.draw(st.integers(i, len(printed)))
+        text = printed[:i] + data.draw(pieces) + printed[j:]
+    assert _outcome(parse_term, sig, text, aliases) == _outcome(
+        reference_parse_term, sig, text, aliases
+    )
