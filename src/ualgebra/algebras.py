@@ -40,8 +40,10 @@ class FiniteAlgebra:
             )
         for sym in signature.symbols:
             table = tables[sym.index]
-            want = carrier_size ** sym.arity
-            if len(table) != want:
+            want = _power_within(carrier_size, sym.arity, len(table))
+            if want != len(table):
+                if want is None:
+                    want = f"{carrier_size}^{sym.arity}"
                 raise CarrierMismatchError(
                     f"table for {sym.name} must have {want} entries, got {len(table)}"
                 )
@@ -122,6 +124,18 @@ class FiniteAlgebra:
             raise FormatError(str(exc)) from None
 
 
+def _power_within(base, exp, cap):
+    # base ** exp (base >= 1) when it is at most cap, else None; never builds
+    # a number much past cap, which a huge carrier and arity from a file
+    # would make slow to compute and impossible to print
+    result = 1
+    for _ in range(exp):
+        result *= base
+        if result > cap:
+            break
+    return result if result <= cap else None
+
+
 def _check_elements(values, size, what, where="the carrier"):
     # one call per sequence: every value must be an int (never a bool)
     # in range(size); the message names the first one that is not
@@ -187,15 +201,15 @@ def check_homomorphism(
     s_size = source.carrier_size
     t_size = target.carrier_size
     for sym in source.signature.symbols:
-        s_table = source.tables[sym.index]
         t_table = target.tables[sym.index]
-        for args in itertools.product(range(s_size), repeat=sym.arity):
-            s_index = 0
+        # the source table is row-major, so it lists its entries in the
+        # order that product yields the argument tuples
+        tuples = itertools.product(range(s_size), repeat=sym.arity)
+        for args, value in zip(tuples, source.tables[sym.index]):
             t_index = 0
             for x in args:
-                s_index = s_index * s_size + x
                 t_index = t_index * t_size + mapping[x]
-            lhs = mapping[s_table[s_index]]
+            lhs = mapping[value]
             rhs = t_table[t_index]
             if lhs != rhs:
                 return HomViolation(sym, args, lhs, rhs)

@@ -30,7 +30,9 @@ def _read_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad JSON, bytes that are not UTF-8 and integers
+        # past the interpreter's digit limit
         raise FormatError(f"{path}: {exc}") from None
 
 

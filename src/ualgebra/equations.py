@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .algebras import FiniteAlgebra, _check_elements, _evaluate_ops
+from .algebras import FiniteAlgebra, _check_elements, _evaluate_ops, _power_within
 from .errors import (
     BudgetExceededError,
     CarrierMismatchError,
@@ -100,6 +100,8 @@ class Theory:
                 isinstance(v, str) for v in row["vars"]
             ):
                 raise FormatError(f'equation {i}: "vars" must be a list of names')
+            if not all(isinstance(row[key], str) for key in ("label", "lhs", "rhs")):
+                raise FormatError(f'equation {i}: "label", "lhs" and "rhs" must be strings')
             eq = parse_equation(signature, row["vars"], row["lhs"], row["rhs"])
             equations.append((row["label"], eq))
         return cls(name, tuple(equations))
@@ -169,10 +171,9 @@ def find_violation(
     # Equation already proved rhs shares lhs's signature and variables
     base = _check_compatible(algebra, equation.context_size, equation.lhs)
     n = equation.context_size
-    count = algebra.carrier_size ** n
-    if count > budget:
+    if _power_within(algebra.carrier_size, n, budget) is None:
         raise BudgetExceededError(
-            f"{algebra.carrier_size}^{n} = {count} assignments exceed budget {budget}"
+            f"{algebra.carrier_size}^{n} assignments exceed budget {budget}"
         )
     lhs_ops = equation.lhs.ops
     rhs_ops = equation.rhs.ops

@@ -156,8 +156,12 @@ def enumerate_terms(
     """All terms with oplist length <= max_len, shortest first and
     lexicographic (by symbol index) within one length.
 
-    Built by dynamic programming over lengths rather than filtering all
-    |signature|^n lists; the filter version lives in the test suite as
+    Runs the counting machine's recurrence one length at a time: a symbol
+    of arity a in front of an oplist of status Ok(k + a - 1) gives status
+    Ok(k), so the oplists of length m + 1 and status Ok(k) come from
+    those of length m alone, and the terms of each length are its Ok(1)
+    lists.  Taking symbols in index order keeps every list lexicographic.
+    The filter over all |signature|^n lists lives in the test suite as
     the correctness oracle.
     """
     if max_len < 0:
@@ -166,45 +170,20 @@ def enumerate_terms(
         raise LimitExceededError(
             f"max_len {max_len} exceeds enumeration limit {limit}"
         )
-    by_len: list[list[tuple[int, ...]]] = [[] for _ in range(max_len + 1)]
-    for length in range(1, max_len + 1):
-        found = []
-        lengths = [l for l in range(1, length) if by_len[l]]
-        for sym in signature.symbols:
-            a = sym.arity
-            if a == 0:
-                if length == 1:
-                    found.append((sym.index,))
-                continue
-            for parts in _splits(length - 1, a, lengths):
-                pools = [by_len[p] for p in parts]
-                for combo in itertools.product(*pools):
-                    found.append(
-                        (sym.index,) + tuple(itertools.chain.from_iterable(combo))
-                    )
-        found.sort()
-        by_len[length] = found
-    return [
-        Term._wrap(signature, ops)
-        for length in range(1, max_len + 1)
-        for ops in by_len[length]
-    ]
-
-
-def _splits(total: int, parts: int, lengths: list[int]):
-    # tuples of `parts` entries from `lengths` summing to `total`
-    if parts == 1:
-        if total in lengths:
-            yield (total,)
-        return
-    if not lengths:
-        return
-    shortest = lengths[0]
-    for head in lengths:
-        if head > total - (parts - 1) * shortest:
-            break
-        for rest in _splits(total - head, parts - 1, lengths):
-            yield (head,) + rest
+    symbols = tuple(enumerate(signature._arities))
+    # a symbol of arity a lowers the count by a - 1, so with A the largest
+    # arity an Ok(k) suffix of length m can still become a term within
+    # max_len only if k - 1 <= (max_len - m) * (A - 1)
+    drop = max(max(signature._arities, default=0) - 1, 0)
+    forests = {0: [()]}  # status count -> oplists of the current length
+    found = []
+    for m in range(1, max_len + 1):
+        forests = {
+            k: [(s,) + rest for s, a in symbols for rest in forests.get(k + a - 1, ())]
+            for k in range(1, min(m, 1 + (max_len - m) * drop) + 1)
+        }
+        found.extend(Term._wrap(signature, ops) for ops in forests[1])
+    return found
 
 
 def format_term(term: Term) -> str:

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ualgebra.errors import (
@@ -8,6 +8,7 @@ from ualgebra.errors import (
     LimitExceededError,
     SignatureMismatchError,
 )
+from ualgebra.signature import Signature
 from ualgebra.terms import (
     Term,
     build_term,
@@ -213,6 +214,19 @@ def test_enumerate_agrees_with_filter_oracle(sig):
     got = [t.ops for t in enumerate_terms(sig, 7)]
     assert got == oracles.enumerate_by_filter(sig, 7)
     assert len(got) == len(set(got))
+
+
+@settings(max_examples=150, deadline=None)
+@given(arities=st.lists(st.integers(0, 4), max_size=4), max_len=st.integers(0, 6))
+@example(arities=[1, 1], max_len=6)  # unary only: no terms at all
+@example(arities=[2, 1, 4], max_len=6)  # no constants
+@example(arities=[0, 0, 0], max_len=6)  # constants only
+@example(arities=[0, 4], max_len=6)  # one wide symbol: the bound prunes most
+@example(arities=[3, 0, 1, 2], max_len=6)  # arities out of order
+def test_enumerate_agrees_with_filter_oracle_on_random_signatures(arities, max_len):
+    sig = Signature([(f"o{i}", a) for i, a in enumerate(arities)])
+    got = [t.ops for t in enumerate_terms(sig, max_len)]
+    assert got == oracles.enumerate_by_filter(sig, max_len)
 
 
 def test_enumerate_order_is_length_then_lex():
