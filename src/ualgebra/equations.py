@@ -19,6 +19,7 @@ from .errors import (
     BudgetExceededError,
     CarrierMismatchError,
     FormatError,
+    SignatureError,
     SignatureMismatchError,
 )
 from .signature import OpSymbol, Signature
@@ -110,23 +111,21 @@ class Theory:
 def parse_equation(
     signature: Signature, var_names: Sequence[str], lhs: str, rhs: str
 ) -> Equation:
-    """Parse both sides over the signature extended with one variable per
-    name; var_names order fixes the variable indices."""
+    """Parse both sides over the signature extended with one arity-0
+    symbol per variable, named as given; var_names order fixes the
+    variable indices.  Equations that differ only in their variable names
+    are therefore different values."""
     var_names = list(var_names)
     if len(var_names) != len(set(var_names)):
         raise FormatError(f"duplicate variable names: {var_names}")
-    taken = {name for name, _ in signature.entries()}
     for v in var_names:
-        if v in taken:
+        if v in signature._by_name:
             raise FormatError(f"variable name {v!r} collides with a symbol name")
-    extended = signature.extend_with_variables(len(var_names))
-    base = len(signature)
-    aliases = {v: extended.symbols[base + i] for i, v in enumerate(var_names)}
-    return Equation(
-        len(var_names),
-        parse_term(extended, lhs, aliases=aliases),
-        parse_term(extended, rhs, aliases=aliases),
-    )
+    try:
+        extended = Signature(signature.entries() + tuple((v, 0) for v in var_names))
+    except SignatureError as exc:
+        raise FormatError(str(exc)) from None
+    return Equation(len(var_names), parse_term(extended, lhs), parse_term(extended, rhs))
 
 
 def _check_compatible(algebra: FiniteAlgebra, context_size: int, term: Term) -> int:

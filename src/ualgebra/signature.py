@@ -60,7 +60,11 @@ class Signature:
         entries = tuple((name, arity) for name, arity in entries)
         by_name: dict[str, int] = {}
         for i, (name, arity) in enumerate(entries):
-            if not isinstance(name, str) or not name:
+            if not isinstance(name, str):
+                raise SignatureError(
+                    f"symbol name at index {i} is not a string: {type(name).__name__}"
+                )
+            if not name:
                 raise SignatureError(f"empty symbol name at index {i}")
             if name in by_name:
                 raise SignatureError(f"duplicate symbol name: {name!r}")

@@ -2,9 +2,14 @@
 
 Nullary symbols may be written with or without `()`; the printer
 (`format_term`) always omits them.  Positions in errors are 0-based
-character offsets into the input text.  The parser walks plain string
-tokens; offsets are computed only on the error path, by scanning the
-text again.
+character offsets into the input text.
+
+Text in printed form, give or take whitespace, is read as its names
+alone: in prefix notation the names already are the oplist, so one
+lookup per name, the counting machine and a comparison with the printed
+form decide it.  Any other text goes to the token reader, which walks
+plain string tokens and is the only source of diagnostics; offsets are
+computed only on its error paths, by scanning the text again.
 """
 
 from __future__ import annotations
@@ -12,13 +17,16 @@ from __future__ import annotations
 import re
 
 from .errors import ArityMismatchError, TermSyntaxError, UnknownSymbolError
-from .signature import OpSymbol, Signature
+from .oplist import Ok, status_of
+from .signature import Signature
 from .terms import Term, format_term
 
 __all__ = ["parse_term", "format_term"]
 
 # a delimiter, or a maximal run of anything else that is not whitespace
 _TOKEN = re.compile(r"[(),]|[^\s(),]+")
+# the second kind of token alone: the names in the text
+_NAME = re.compile(r"[^\s(),]+")
 
 
 def _offset(text: str, k: int) -> int:
@@ -29,20 +37,31 @@ def _offset(text: str, k: int) -> int:
     return len(text)
 
 
-def parse_term(
-    signature: Signature, text: str, aliases: dict[str, OpSymbol] | None = None
-) -> Term:
+def parse_term(signature: Signature, text: str) -> Term:
     """Parse functional notation into a Term over the signature.
 
-    `aliases` may map extra surface names to symbols of the signature
-    (used for equation variables); aliases win over signature names.
-    The parse is iterative, so input depth is unbounded.
+    First the text is read as its names: they are looked up in one pass,
+    the counting machine must give Ok(1), and the term's printed form must
+    equal the text with its whitespace removed.  That check is sound: the
+    printed form of one term has a delimiter between every two names and
+    never contains `()`, so equality rules out merged names, stray `()`
+    and arity errors, and the token reader would return the same oplist.
+    On any other text the token reader runs; it is iterative, so input
+    depth is unbounded.
     """
+    try:
+        ops = tuple(map(signature._by_name.__getitem__, _NAME.findall(text)))
+    except KeyError:
+        pass
+    else:
+        if status_of(signature, ops) == Ok(1):
+            term = Term._wrap(signature, ops)
+            if format_term(term) == "".join(text.split()):
+                return term
+
     tokens = _TOKEN.findall(text)
     tokens.append("")  # end marker
     names = signature._by_name
-    if aliases:
-        names = {**names, **{name: sym.index for name, sym in aliases.items()}}
     arities = signature._arities
     pos = 0
     ops: list[int] = []

@@ -17,7 +17,7 @@ from ualgebra.errors import (
     UnknownSymbolError,
 )
 from ualgebra.oplist import UNDERFLOW, Error, Ok
-from ualgebra.signature import OpSymbol, Signature
+from ualgebra.signature import Signature
 from ualgebra.terms import Term
 
 
@@ -200,15 +200,10 @@ def _tokenize(text: str):
     return tokens
 
 
-def reference_parse_term(
-    signature: Signature, text: str, aliases: dict[str, OpSymbol] | None = None
-) -> Term:
+def reference_parse_term(signature: Signature, text: str) -> Term:
     """Parse functional notation into a Term over the signature, reading
     the text one character at a time into (kind, text, offset) tokens: the
     reference for `parse_term`'s results, messages and positions.
-
-    `aliases` may map extra surface names to symbols of the signature
-    (used for equation variables); aliases win over signature names.
     The parse is iterative, so input depth is unbounded.
     """
     tokens = _tokenize(text)
@@ -221,13 +216,10 @@ def reference_parse_term(
         kind, value, at = tokens[pos]
         if kind != _NAME:
             raise TermSyntaxError("expected a symbol name", at)
-        if aliases and value in aliases:
-            sym = aliases[value]
-        else:
-            try:
-                sym = signature.symbol(value)
-            except InvalidSymbolError:
-                raise UnknownSymbolError(value, at) from None
+        try:
+            sym = signature.symbol(value)
+        except InvalidSymbolError:
+            raise UnknownSymbolError(value, at) from None
         ops.append(sym.index)
         arity = sym.arity
         pos += 1

@@ -280,6 +280,14 @@ def test_malformed_signature_file(capsys):
     assert "arity" in err
 
 
+def test_non_string_symbol_name_is_usage_error(capsys, tmp_path):
+    sig = tmp_path / "sig.json"
+    sig.write_text('{"symbols": [{"name": 5, "arity": 0}]}')
+    code, out, err = run(capsys, "depth", "--sig", str(sig), "z")
+    assert (code, out) == (2, "")
+    assert err == "ua: error: symbol name at index 0 is not a string: int\n"
+
+
 def test_invalid_json_file(capsys):
     code, _, err = run(capsys, "depth", "--sig", str(DATA / "invalid.json"), "z")
     assert code == 2

@@ -219,8 +219,10 @@ def test_theory_json_round_trip():
     again = Theory.from_json(XOR, data)
     assert again.name == XOR_THEORY.name
     assert [label for label, _ in again.equations] == ["comm", "assoc", "unit", "inv"]
-    # variables were renamed to the canonical x0..x(n-1)
-    assert data["equations"][0]["vars"] == ["x0", "x1"]
+    # variables keep the names the file gave them
+    assert data["equations"][0] == {
+        "label": "comm", "vars": ["x", "y"], "lhs": "xor(x,y)", "rhs": "xor(y,x)"
+    }
     assert again.to_json() == data
 
 

@@ -43,6 +43,11 @@ def test_empty_name_rejected():
         Signature([("", 0)])
 
 
+def test_non_string_name_rejected_as_such():
+    with pytest.raises(SignatureError, match="index 1 is not a string: int"):
+        Signature([("z", 0), (5, 0)])
+
+
 def test_negative_arity_rejected():
     with pytest.raises(SignatureError):
         Signature([("f", -1)])
