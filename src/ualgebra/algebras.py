@@ -3,6 +3,11 @@
 The carrier is {0..size-1}.  The table for a symbol of arity a lists the
 outputs for all a-tuples of arguments in lexicographic order, i.e. a flat
 row-major array with the leftmost argument most significant.
+
+Evaluation is one right-to-left pass with straight-line branches for
+arities 0, 1 and 2.  It knows nothing of variables: to evaluate under an
+assignment, `equations` extends the algebra to the variables, which are
+arity-0 symbols, by one-entry tables holding their values.
 """
 
 from __future__ import annotations
@@ -67,10 +72,12 @@ class FiniteAlgebra:
     def evaluate(self, term: Term) -> int:
         """The unique homomorphic extension of the tables, applied to a
         term.  Single right-to-left pass; safe for million-node terms.
-        The one loop that `evaluate_with` also runs, with no variables."""
+        The one loop that `evaluate_with` also runs."""
         if term.signature != self.signature:
             raise SignatureMismatchError("term is over a different signature")
-        return _evaluate_ops(self, len(self.signature), term.ops, ())
+        return _evaluate_ops(
+            self.signature._arities, self.tables, self.carrier_size, term.ops
+        )
 
     def __eq__(self, other):
         return (
@@ -144,24 +151,21 @@ def _check_elements(values, size, what, where="the carrier"):
             raise CarrierMismatchError(f"{what} {value!r} outside {where}")
 
 
-def _evaluate_ops(algebra, base, ops, assignment):
-    # the one evaluation loop, over checked inputs: symbols below `base` use
-    # the algebra's tables, symbol base + i is a variable set to assignment[i]
-    arities = algebra.signature._arities
-    tables = algebra.tables
-    size = algebra.carrier_size
+def _evaluate_ops(arities, tables, size, ops):
+    # the one evaluation loop, over checked inputs: one table per symbol,
+    # indexed row-major; the top of the stack is the leftmost argument
     stack = []
     push = stack.append
     pop = stack.pop
     for op in reversed(ops):
-        if op >= base:
-            push(assignment[op - base])
-            continue
         a = arities[op]
         if a == 0:
             push(tables[op][0])
         elif a == 1:
             stack[-1] = tables[op][stack[-1]]
+        elif a == 2:
+            x = pop()
+            stack[-1] = tables[op][x * size + stack[-1]]
         else:
             index = 0
             for _ in range(a):

@@ -3,9 +3,11 @@ theory (variety presentation) membership.
 
 Variables are ordinary arity-0 symbols appended to the base signature, so
 both sides of an equation are plain terms over the extended signature.
-Assignments enumerate in mixed-radix lexicographic order with the leftmost
-variable most significant, which makes the reported counterexample the
-least one.
+An assignment extends the algebra to that signature: variable i gets the
+one-entry table (value,), and the algebra's own evaluation loop runs on
+the extended tables.  Assignments enumerate in mixed-radix lexicographic
+order with the leftmost variable most significant, which makes the
+reported counterexample the least one.
 """
 
 from __future__ import annotations
@@ -128,7 +130,7 @@ def parse_equation(
     return Equation(len(var_names), parse_term(extended, lhs), parse_term(extended, rhs))
 
 
-def _check_compatible(algebra: FiniteAlgebra, context_size: int, term: Term) -> int:
+def _check_compatible(algebra: FiniteAlgebra, context_size: int, term: Term) -> None:
     extended = term.signature
     base = len(extended) - context_size
     if base < 0:
@@ -140,7 +142,6 @@ def _check_compatible(algebra: FiniteAlgebra, context_size: int, term: Term) -> 
     for _, arity in extended.entries()[base:]:
         if arity != 0:
             raise SignatureMismatchError("variable symbols must have arity 0")
-    return base
 
 
 def evaluate_with(
@@ -151,15 +152,17 @@ def evaluate_with(
 ) -> int:
     """Evaluate a term over the extended signature: base symbols use the
     algebra's tables, variable i takes assignment[i].  Runs the same loop
-    as `FiniteAlgebra.evaluate`."""
-    base = _check_compatible(algebra, context_size, term)
+    as `FiniteAlgebra.evaluate`, on the tables extended by (assignment[i],)
+    for each variable."""
+    _check_compatible(algebra, context_size, term)
     assignment = tuple(assignment)
     if len(assignment) != context_size:
         raise CarrierMismatchError(
             f"assignment must have {context_size} values, got {len(assignment)}"
         )
     _check_elements(assignment, algebra.carrier_size, "assignment value")
-    return _evaluate_ops(algebra, base, term.ops, assignment)
+    tables = algebra.tables + tuple((value,) for value in assignment)
+    return _evaluate_ops(term.signature._arities, tables, algebra.carrier_size, term.ops)
 
 
 def find_violation(
@@ -168,19 +171,23 @@ def find_violation(
     """Lexicographically least assignment on which the sides differ, or
     None when the algebra satisfies the equation."""
     # Equation already proved rhs shares lhs's signature and variables
-    base = _check_compatible(algebra, equation.context_size, equation.lhs)
+    _check_compatible(algebra, equation.context_size, equation.lhs)
     n = equation.context_size
-    if _power_within(algebra.carrier_size, n, budget) is None:
-        raise BudgetExceededError(
-            f"{algebra.carrier_size}^{n} assignments exceed budget {budget}"
-        )
+    size = algebra.carrier_size
+    if _power_within(size, n, budget) is None:
+        raise BudgetExceededError(f"{size}^{n} assignments exceed budget {budget}")
+    arities = equation.lhs.signature._arities
+    tables = algebra.tables
     lhs_ops = equation.lhs.ops
     rhs_ops = equation.rhs.ops
-    for assignment in itertools.product(range(algebra.carrier_size), repeat=n):
-        if _evaluate_ops(algebra, base, lhs_ops, assignment) != _evaluate_ops(
-            algebra, base, rhs_ops, assignment
+    # each assignment as the variables' one-entry tables, in the same order
+    singletons = tuple((value,) for value in range(size))
+    for extra in itertools.product(singletons, repeat=n):
+        extended = tables + extra
+        if _evaluate_ops(arities, extended, size, lhs_ops) != _evaluate_ops(
+            arities, extended, size, rhs_ops
         ):
-            return assignment
+            return tuple(value for (value,) in extra)
     return None
 
 

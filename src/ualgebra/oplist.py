@@ -9,6 +9,7 @@ complete terms; a term proper is an oplist with status `Ok(1)`.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -63,20 +64,25 @@ def status_of(signature: Signature, ops: Sequence[int]) -> Status:
 
     The scan goes right to left (prefix notation): at a symbol of arity a
     the counter must already hold at least a completed terms; they are
-    replaced by one.
+    replaced by one.  The scan keeps no position; only an underflow
+    rescans to find it.
     """
     ops = check_indices(signature, ops)
     arities = signature._arities
     k = 0
-    for i in range(len(ops) - 1, -1, -1):
-        a = arities[ops[i]]
-        if a:
-            if k < a:
-                return Error(UNDERFLOW, i)
-            k += 1 - a
-        else:
-            k += 1
+    for op in reversed(ops):
+        a = arities[op]
+        if k < a:
+            return Error(UNDERFLOW, _underflow_position(arities, ops))
+        k += 1 - a
     return Ok(k)
+
+
+def _underflow_position(arities, ops) -> int:
+    # the rightmost i whose suffix ops[i:] leaves fewer than one term: there
+    # the counter held k < a, i.e. k + 1 - a < 1
+    counts = itertools.accumulate(1 - arities[op] for op in reversed(ops))
+    return len(ops) - 1 - next(j for j, k in enumerate(counts) if k < 1)
 
 
 def is_term(signature: Signature, ops: Sequence[int]) -> bool:
@@ -99,17 +105,21 @@ def split_terms(signature: Signature, ops: Sequence[int], n: int) -> list[tuple[
 
 
 def _split_valid(signature: Signature, ops: tuple[int, ...], n: int) -> list[tuple[int, ...]]:
-    # the left-to-right cut of split_terms; caller guarantees status Ok(n)
+    # the left-to-right cut of split_terms; caller guarantees status Ok(n),
+    # so the last piece is whatever the first n - 1 leave and is not scanned
+    if not n:
+        return []
     arities = signature._arities
     parts = []
     i = 0
-    for _ in range(n):
+    for _ in range(n - 1):
         start = i
         need = 1
         while need:
             need += arities[ops[i]] - 1
             i += 1
         parts.append(ops[start:i])
+    parts.append(ops[i:])
     return parts
 
 

@@ -15,6 +15,18 @@ from .errors import FormatError, InvalidSymbolError, SignatureError
 SANITY_LIMIT = 2 ** 16
 
 
+def _shown(value) -> str:
+    # repr, except for an int too long to print (Python refuses past 4300
+    # digits): then its size in bits
+    try:
+        return repr(value)
+    except ValueError:
+        if not isinstance(value, int):
+            raise
+        article = "a negative" if value < 0 else "an"
+        return f"{article} integer of {value.bit_length()} bits"
+
+
 class OpSymbol:
     """One operation symbol of a signature.
 
@@ -54,7 +66,7 @@ class Signature:
     position-wise on names and arities.  Instances are immutable.
     """
 
-    __slots__ = ("_entries", "_arities", "symbols", "_by_name", "_hash")
+    __slots__ = ("_entries", "_arities", "symbols", "_by_name", "_hash", "_printer")
 
     def __init__(self, entries: Iterable[tuple[str, int]]):
         entries = tuple((name, arity) for name, arity in entries)
@@ -69,7 +81,7 @@ class Signature:
             if name in by_name:
                 raise SignatureError(f"duplicate symbol name: {name!r}")
             if not isinstance(arity, int) or isinstance(arity, bool) or arity < 0:
-                raise SignatureError(f"bad arity for {name!r}: {arity!r}")
+                raise SignatureError(f"bad arity for {name!r}: {_shown(arity)}")
             by_name[name] = i
         self._entries = entries
         self._arities = tuple(arity for _, arity in entries)
@@ -78,6 +90,7 @@ class Signature:
         )
         self._by_name = by_name
         self._hash = hash(entries)
+        self._printer = None  # print tables, built by terms on first use
 
     def __len__(self) -> int:
         return len(self._entries)

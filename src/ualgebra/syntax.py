@@ -6,10 +6,12 @@ character offsets into the input text.
 
 Text in printed form, give or take whitespace, is read as its names
 alone: in prefix notation the names already are the oplist, so one
-lookup per name, the counting machine and a comparison with the printed
-form decide it.  Any other text goes to the token reader, which walks
-plain string tokens and is the only source of diagnostics; offsets are
-computed only on its error paths, by scanning the text again.
+lookup per name and a comparison with the printed form decide it.  The
+printer's owed-separator pass is also the one-term check (it yields no
+text unless the oplist is exactly one term), so no machine pass runs.
+Any other text goes to the token reader, which walks plain string tokens
+and is the only source of diagnostics; offsets are computed only on its
+error paths, by scanning the text again.
 """
 
 from __future__ import annotations
@@ -17,9 +19,8 @@ from __future__ import annotations
 import re
 
 from .errors import ArityMismatchError, TermSyntaxError, UnknownSymbolError
-from .oplist import Ok, status_of
 from .signature import Signature
-from .terms import Term, format_term
+from .terms import Term, _printed, format_term
 
 __all__ = ["parse_term", "format_term"]
 
@@ -41,8 +42,8 @@ def parse_term(signature: Signature, text: str) -> Term:
     """Parse functional notation into a Term over the signature.
 
     First the text is read as its names: they are looked up in one pass,
-    the counting machine must give Ok(1), and the term's printed form must
-    equal the text with its whitespace removed.  That check is sound: the
+    and the names must form exactly one term whose printed form equals
+    the text with its whitespace removed.  That check is sound: the
     printed form of one term has a delimiter between every two names and
     never contains `()`, so equality rules out merged names, stray `()`
     and arity errors, and the token reader would return the same oplist.
@@ -54,10 +55,8 @@ def parse_term(signature: Signature, text: str) -> Term:
     except KeyError:
         pass
     else:
-        if status_of(signature, ops) == Ok(1):
-            term = Term._wrap(signature, ops)
-            if format_term(term) == "".join(text.split()):
-                return term
+        if _printed(signature, ops) == "".join(text.split()):
+            return Term._wrap(signature, ops)
 
     tokens = _TOKEN.findall(text)
     tokens.append("")  # end marker

@@ -2,6 +2,15 @@
 
 Every operation here is a single pass over the flat oplist with an
 explicit stack, so arbitrarily deep terms never grow the call stack.
+The passes branch on arity, with straight-line code for the small
+arities that make up most nodes.
+
+The printer keeps a stack of owed separators: an application of arity a
+pushes `)` under a - 1 `,`, and each finished subterm pops up to and
+including the next `,`.  A subterm that empties the stack is a root, so
+the same pass counts roots and doubles as the one-term check: by the
+prefix-code property, an oplist is exactly one term iff it ends with one
+root and nothing owed (`_printed`).
 """
 
 from __future__ import annotations
@@ -114,10 +123,12 @@ def fold(step: FoldStep, term: Term):
     push = stack.append
     for op in reversed(term.ops):
         a = arities[op]
-        if a:
-            args = stack[-a:]
+        if a == 1:
+            stack[-1] = step(symbols[op], [stack[-1]])
+        elif a:
+            # the top of the stack is the leftmost child
+            args = stack[:-a - 1:-1]
             del stack[-a:]
-            args.reverse()
             push(step(symbols[op], args))
         else:
             push(step(symbols[op], []))
@@ -140,13 +151,14 @@ def depth(term: Term) -> int:
             push(1)
         elif a == 1:
             stack[-1] += 1
+        elif a == 2:
+            v = pop()
+            w = stack[-1]
+            stack[-1] = (v if v > w else w) + 1
         else:
-            best = pop()
-            for _ in range(a - 1):
-                v = pop()
-                if v > best:
-                    best = v
-            push(best + 1)
+            v = max(stack[-a:]) + 1
+            del stack[-a:]
+            push(v)
     return stack[0]
 
 
@@ -189,22 +201,55 @@ def enumerate_terms(
 def format_term(term: Term) -> str:
     """Functional notation with the minimal form: no parentheses on
     constants."""
-    signature = term.signature
+    return _printed(term.signature, term.ops)
+
+
+def _printed(signature: Signature, ops: Sequence[int]) -> str | None:
+    # the printed form of ops when it is exactly one term, else None;
+    # ops must hold valid indices (see the module docstring)
+    heads, owed = _print_tables(signature)
     arities = signature._arities
-    symbols = signature.symbols
     out = []
-    open_counts = []  # remaining children per open application
-    for op in term.ops:
-        out.append(symbols[op].name)
-        if arities[op]:
-            out.append("(")
-            open_counts.append(arities[op])
-        else:
-            while open_counts:
-                open_counts[-1] -= 1
-                if open_counts[-1]:
-                    out.append(",")
+    emit = out.append
+    stack = []  # separators owed, the next one on top
+    push = stack.extend
+    pop = stack.pop
+    roots = 0
+    for op in ops:
+        emit(heads[op])
+        seps = owed[op]
+        if seps is None:
+            while stack:
+                sep = pop()
+                emit(sep)
+                if sep == ",":
                     break
-                out.append(")")
-                open_counts.pop()
+            else:
+                roots += 1
+        elif seps:
+            push(seps)
+        else:
+            # first use of this symbol.  Built only now, since an arity can
+            # be far larger than any term; a term holding the symbol has
+            # more than `arity` nodes, so the tuple never outgrows the input
+            arity = arities[op]
+            if arity >= len(ops):
+                return None
+            owed[op] = seps = (")",) + (",",) * (arity - 1)
+            push(seps)
+    if roots != 1 or stack:
+        return None
     return "".join(out)
+
+
+def _print_tables(signature: Signature) -> tuple[tuple[str, ...], list]:
+    # built once per signature: each symbol's head, "name(" or "name", and
+    # its owed separators, None for a constant and () until first printed
+    tables = signature._printer
+    if tables is None:
+        heads = tuple(
+            name + "(" if arity else name for name, arity in signature.entries()
+        )
+        owed = [() if arity else None for arity in signature._arities]
+        tables = signature._printer = (heads, owed)
+    return tables

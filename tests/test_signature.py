@@ -53,6 +53,12 @@ def test_negative_arity_rejected():
         Signature([("f", -1)])
 
 
+def test_arity_too_long_to_print_is_rejected_as_such():
+    # repr refuses ints past 4300 digits; the message must not call it
+    with pytest.raises(SignatureError, match="bad arity for 'f'"):
+        Signature([("f", -10 ** 5000)])
+
+
 def test_arity_out_of_range():
     with pytest.raises(InvalidSymbolError):
         NAT.arity(2)

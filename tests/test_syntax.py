@@ -229,3 +229,20 @@ def test_printed_text_parses_without_a_token_list(shape):
         tracemalloc.stop()
     assert term.ops == ops
     assert peak <= 20 * len(text)
+
+
+def test_parse_and_format_cost_does_not_grow_with_the_signature():
+    # theory loading parses every equation side, so work that grew with
+    # the signature on every call (rather than once per signature) would
+    # multiply with the number of sides
+    sig = Signature([("a", 0)] + [(f"g{i}", i % 3) for i in range(1, 2 ** 16)])
+    parse_term(sig, "a")  # builds the signature's print tables
+    tracemalloc.start()
+    try:
+        term = parse_term(sig, "a")
+        text = format_term(term)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert term.ops == (0,) and text == "a"
+    assert peak < 4096
