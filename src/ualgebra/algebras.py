@@ -5,7 +5,10 @@ outputs for all a-tuples of arguments in lexicographic order, i.e. a flat
 row-major array with the leftmost argument most significant.
 
 Evaluation is one right-to-left pass with straight-line branches for
-arities 0, 1 and 2.  It knows nothing of variables: to evaluate under an
+arities 0, 1 and 2.  Run over an oplist with status Ok(k), it leaves the
+values of the k terms on its stack, rightmost term first; a term gives one
+value, and an equation's two sides written one after the other give both
+in one pass.  It knows nothing of variables: to evaluate under an
 assignment, `equations` extends the algebra to the variables, which are
 arity-0 symbols, by one-entry tables holding their values.
 """
@@ -22,7 +25,7 @@ from .errors import (
     FormatError,
     SignatureMismatchError,
 )
-from .signature import OpSymbol, Signature
+from .signature import OpSymbol, Signature, _shown
 from .terms import Term
 
 
@@ -36,7 +39,7 @@ class FiniteAlgebra:
             isinstance(carrier_size, int) and carrier_size >= 1
         ):
             raise CarrierMismatchError(
-                f"carrier must have at least one element, got {carrier_size!r}"
+                f"carrier must have at least one element, got {_shown(carrier_size)}"
             )
         tables = tuple(tuple(table) for table in tables)
         if len(tables) != len(signature):
@@ -77,7 +80,7 @@ class FiniteAlgebra:
             raise SignatureMismatchError("term is over a different signature")
         return _evaluate_ops(
             self.signature._arities, self.tables, self.carrier_size, term.ops
-        )
+        )[0]
 
     def __eq__(self, other):
         return (
@@ -148,12 +151,14 @@ def _check_elements(values, size, what, where="the carrier"):
     # in range(size); the message names the first one that is not
     for value in values:
         if type(value) is bool or not (isinstance(value, int) and 0 <= value < size):
-            raise CarrierMismatchError(f"{what} {value!r} outside {where}")
+            raise CarrierMismatchError(f"{what} {_shown(value)} outside {where}")
 
 
 def _evaluate_ops(arities, tables, size, ops):
     # the one evaluation loop, over checked inputs: one table per symbol,
-    # indexed row-major; the top of the stack is the leftmost argument
+    # indexed row-major; the top of the stack is the leftmost argument.
+    # For ops with status Ok(k) the final stack holds the k terms' values,
+    # rightmost term first
     stack = []
     push = stack.append
     pop = stack.pop
@@ -171,7 +176,7 @@ def _evaluate_ops(arities, tables, size, ops):
             for _ in range(a):
                 index = index * size + pop()
             push(tables[op][index])
-    return stack[0]
+    return stack
 
 
 @dataclass(frozen=True)

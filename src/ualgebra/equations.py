@@ -2,12 +2,14 @@
 theory (variety presentation) membership.
 
 Variables are ordinary arity-0 symbols appended to the base signature, so
-both sides of an equation are plain terms over the extended signature.
-An assignment extends the algebra to that signature: variable i gets the
-one-entry table (value,), and the algebra's own evaluation loop runs on
-the extended tables.  Assignments enumerate in mixed-radix lexicographic
-order with the leftmost variable most significant, which makes the
-reported counterexample the least one.
+both sides of an equation are plain terms over the extended signature;
+`Equation` is the one check of that split.  An assignment extends the
+algebra to that signature: variable i gets the one-entry table (value,).
+The algebra's own evaluation loop then runs once per assignment on the
+sides written one after the other, an Ok(2) oplist, and yields both
+values.  Assignments enumerate in mixed-radix lexicographic order with the
+leftmost variable most significant, which makes the reported
+counterexample the least one.
 """
 
 from __future__ import annotations
@@ -130,18 +132,13 @@ def parse_equation(
     return Equation(len(var_names), parse_term(extended, lhs), parse_term(extended, rhs))
 
 
-def _check_compatible(algebra: FiniteAlgebra, context_size: int, term: Term) -> None:
-    extended = term.signature
-    base = len(extended) - context_size
-    if base < 0:
-        raise SignatureMismatchError("context larger than the term's signature")
-    if algebra.signature.entries() != extended.entries()[:base]:
+def _check_base(algebra: FiniteAlgebra, equation: Equation) -> None:
+    # the one check Equation cannot make: its base is the algebra's signature
+    extended = equation.lhs.signature.entries()
+    if algebra.signature.entries() != extended[: equation.base_size]:
         raise SignatureMismatchError(
             "algebra signature is not the base of the term's signature"
         )
-    for _, arity in extended.entries()[base:]:
-        if arity != 0:
-            raise SignatureMismatchError("variable symbols must have arity 0")
 
 
 def evaluate_with(
@@ -154,7 +151,7 @@ def evaluate_with(
     algebra's tables, variable i takes assignment[i].  Runs the same loop
     as `FiniteAlgebra.evaluate`, on the tables extended by (assignment[i],)
     for each variable."""
-    _check_compatible(algebra, context_size, term)
+    _check_base(algebra, Equation(context_size, term, term))
     assignment = tuple(assignment)
     if len(assignment) != context_size:
         raise CarrierMismatchError(
@@ -162,7 +159,7 @@ def evaluate_with(
         )
     _check_elements(assignment, algebra.carrier_size, "assignment value")
     tables = algebra.tables + tuple((value,) for value in assignment)
-    return _evaluate_ops(term.signature._arities, tables, algebra.carrier_size, term.ops)
+    return _evaluate_ops(term.signature._arities, tables, algebra.carrier_size, term.ops)[0]
 
 
 def find_violation(
@@ -170,23 +167,19 @@ def find_violation(
 ) -> tuple[int, ...] | None:
     """Lexicographically least assignment on which the sides differ, or
     None when the algebra satisfies the equation."""
-    # Equation already proved rhs shares lhs's signature and variables
-    _check_compatible(algebra, equation.context_size, equation.lhs)
+    _check_base(algebra, equation)
     n = equation.context_size
     size = algebra.carrier_size
     if _power_within(size, n, budget) is None:
         raise BudgetExceededError(f"{size}^{n} assignments exceed budget {budget}")
     arities = equation.lhs.signature._arities
     tables = algebra.tables
-    lhs_ops = equation.lhs.ops
-    rhs_ops = equation.rhs.ops
+    both = equation.lhs.ops + equation.rhs.ops  # status Ok(2)
     # each assignment as the variables' one-entry tables, in the same order
     singletons = tuple((value,) for value in range(size))
     for extra in itertools.product(singletons, repeat=n):
-        extended = tables + extra
-        if _evaluate_ops(arities, extended, size, lhs_ops) != _evaluate_ops(
-            arities, extended, size, rhs_ops
-        ):
+        rhs, lhs = _evaluate_ops(arities, tables + extra, size, both)
+        if lhs != rhs:
             return tuple(value for (value,) in extra)
     return None
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 from .errors import InvalidSymbolError, StatusMismatchError, UnknownSymbolError
-from .signature import Signature
+from .signature import Signature, _shown
 
 UNDERFLOW = "underflow"
 
@@ -54,7 +54,7 @@ def check_indices(signature: Signature, ops) -> tuple[int, ...]:
             for i, op in enumerate(ops):
                 if not isinstance(op, int) or not 0 <= op < n:
                     raise InvalidSymbolError(
-                        f"symbol index {op!r} out of range at position {i}"
+                        f"symbol index {_shown(op)} out of range at position {i}"
                     )
     return ops
 

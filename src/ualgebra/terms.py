@@ -1,4 +1,4 @@
-"""Validated terms, constant-time building, destructuring, and the fold.
+"""Validated terms, O(n) building, destructuring, and the fold.
 
 Every operation here is a single pass over the flat oplist with an
 explicit stack, so arbitrarily deep terms never grow the call stack.

@@ -225,3 +225,9 @@ def test_json_text_round_trip(algebra):
 def test_from_json_rejects_malformed(data):
     with pytest.raises(FormatError):
         FiniteAlgebra.from_json(NAT, data)
+
+
+def test_from_json_rejects_tables_given_as_a_list():
+    with pytest.raises(FormatError) as info:
+        FiniteAlgebra.from_json(NAT, {"carrier": 2, "tables": []})
+    assert str(info.value) == '"tables" must map symbol names to arrays'

@@ -17,6 +17,7 @@ from ualgebra.errors import (
     BudgetExceededError,
     CarrierMismatchError,
     FormatError,
+    SignatureMismatchError,
     UAlgebraError,
 )
 from ualgebra.signature import Signature
@@ -253,3 +254,67 @@ def test_vars_order_fixes_indices():
 def test_theory_from_json_rejects_malformed(data):
     with pytest.raises(UAlgebraError):
         Theory.from_json(XOR, data)
+
+
+# ------------------------------------------------------------ rejections
+
+XOR_X = XOR.extend_with_variables(1)  # xor/2, e/0, x0/0
+X = Term(XOR_X, (2,))
+
+
+@pytest.mark.parametrize(
+    "context_size, lhs, message",
+    [
+        (0, Term(XOR, (1,)), "equation sides are over different signatures"),
+        (-1, X, "context size -1 does not fit the signature"),
+        (4, X, "context size 4 does not fit the signature"),
+        (3, X, "variable symbols must have arity 0"),
+    ],
+    ids=["sides", "negative-context", "context-too-large", "variable-arity"],
+)
+def test_equation_rejects_a_bad_variable_split(context_size, lhs, message):
+    with pytest.raises(SignatureMismatchError) as info:
+        Equation(context_size, lhs, X)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "context_size, message",
+    [
+        (-1, "context size -1 does not fit the signature"),
+        (4, "context size 4 does not fit the signature"),
+        (3, "variable symbols must have arity 0"),
+    ],
+    ids=["negative-context", "context-too-large", "variable-arity"],
+)
+def test_evaluate_with_rejects_a_bad_variable_split(context_size, message):
+    with pytest.raises(SignatureMismatchError) as info:
+        evaluate_with(B2_XOR, context_size, X, [0] * max(context_size, 0))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda eq: find_violation(N4, eq),
+        lambda eq: evaluate_with(N4, 1, eq.lhs, (0,)),
+    ],
+    ids=["find_violation", "evaluate_with"],
+)
+def test_algebra_over_another_base_is_rejected(check):
+    eq = parse_equation(XOR, ["x"], "xor(x,e)", "x")
+    with pytest.raises(SignatureMismatchError) as info:
+        check(eq)
+    assert str(info.value) == "algebra signature is not the base of the term's signature"
+
+
+def test_empty_variable_name_is_a_format_error():
+    with pytest.raises(FormatError) as info:
+        parse_equation(XOR, [""], "e", "e")
+    assert str(info.value) == "empty symbol name at index 2"
+
+
+def test_theory_name_must_be_a_string():
+    with pytest.raises(FormatError) as info:
+        Theory.from_json(XOR, {"name": 5, "equations": []})
+    assert str(info.value) == "theory name must be a string and equations a list"

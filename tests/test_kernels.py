@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ualgebra.algebras import FiniteAlgebra
+from ualgebra.algebras import FiniteAlgebra, _evaluate_ops
 from ualgebra.equations import evaluate_with
 from ualgebra.oplist import Ok, status_of
 from ualgebra.signature import Signature
@@ -63,6 +63,16 @@ def test_kernels_agree_with_tree_oracles(arities, n_vars, size, data):
     )
     if not n_vars:
         assert algebra.evaluate(term) == oracles.tree_eval(algebra, tree)
+    # an Ok(2) oplist leaves both terms' values, rightmost term first
+    second = data.draw(terms(extended, max_leaves=12))
+    extended_tables = algebra.tables + tuple((value,) for value in assignment)
+    both = term.ops + second.ops
+    assert _evaluate_ops(extended._arities, extended_tables, size, both) == [
+        oracles.tree_eval_with(
+            algebra, len(sig), oracles.tree_of(extended, second.ops), assignment
+        ),
+        oracles.tree_eval_with(algebra, len(sig), tree, assignment),
+    ]
 
     printed = format_term(term)
     assert parse_term(extended, printed) == term

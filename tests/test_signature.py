@@ -1,9 +1,18 @@
 import pytest
 
-from ualgebra.errors import FormatError, InvalidSymbolError, SignatureError
+from ualgebra.algebras import FiniteAlgebra, check_homomorphism
+from ualgebra.equations import evaluate_with
+from ualgebra.errors import (
+    CarrierMismatchError,
+    FormatError,
+    InvalidSymbolError,
+    SignatureError,
+)
+from ualgebra.oplist import check_indices, format_oplist, status_of
 from ualgebra.signature import Signature
+from ualgebra.terms import Term
 
-from corpus import NAT
+from corpus import N2, NAT
 
 
 def test_nat_signature_arities():
@@ -59,6 +68,42 @@ def test_arity_too_long_to_print_is_rejected_as_such():
         Signature([("f", -10 ** 5000)])
 
 
+HUGE = 10 ** 5000
+NAT_X = NAT.extend_with_variables(1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: FiniteAlgebra(NAT, -HUGE, [[0], [0]]),
+        lambda: FiniteAlgebra(NAT, 2, [[-HUGE], [1, 0]]),
+        lambda: N2.apply("s", [-HUGE]),
+        lambda: evaluate_with(N2, 1, Term(NAT_X, (2,)), [-HUGE]),
+        lambda: check_homomorphism(N2, N2, [0, -HUGE]),
+        lambda: check_indices(NAT, (HUGE,)),
+        lambda: Term(NAT, (HUGE,)),
+        lambda: status_of(NAT, (HUGE,)),
+        lambda: format_oplist(NAT, (HUGE,)),
+    ],
+    ids=[
+        "carrier",
+        "table-entry",
+        "apply",
+        "evaluate_with",
+        "hom-mapping",
+        "check_indices",
+        "Term",
+        "status_of",
+        "format_oplist",
+    ],
+)
+def test_value_too_long_to_print_is_named_by_its_size(call):
+    # every message that shows a value goes through signature._shown
+    with pytest.raises((CarrierMismatchError, InvalidSymbolError)) as info:
+        call()
+    assert f"integer of {HUGE.bit_length()} bits" in str(info.value)
+
+
 def test_arity_out_of_range():
     with pytest.raises(InvalidSymbolError):
         NAT.arity(2)
@@ -66,6 +111,13 @@ def test_arity_out_of_range():
         NAT.arity(-1)
     with pytest.raises(InvalidSymbolError):
         NAT.symbol("nope")
+
+
+@pytest.mark.parametrize("ref", ["s", True])
+def test_arity_rejects_a_non_index(ref):
+    with pytest.raises(InvalidSymbolError) as info:
+        NAT.arity(ref)
+    assert str(info.value) == f"not a symbol index: {ref!r}"
 
 
 def test_foreign_symbol_rejected():
@@ -106,6 +158,12 @@ def test_extend_zero_is_identity():
 def test_extend_empty_signature():
     ext = Signature([]).extend_with_variables(1)
     assert ext.entries() == (("x0", 0),)
+
+
+def test_extend_rejects_a_negative_count():
+    with pytest.raises(SignatureError) as info:
+        NAT.extend_with_variables(-1)
+    assert str(info.value) == "negative variable count: -1"
 
 
 def test_extend_renames_on_collision():
