@@ -111,8 +111,6 @@ class FiniteAlgebra:
             raise FormatError('algebra file must be {"carrier": ..., "tables": ...}')
         carrier = data["carrier"]
         tables = data["tables"]
-        if not isinstance(carrier, int) or isinstance(carrier, bool) or carrier < 1:
-            raise FormatError('"carrier" must be a positive integer')
         if not isinstance(tables, dict):
             raise FormatError('"tables" must map symbol names to arrays')
         names = {name for name, _ in signature.entries()}

@@ -9,7 +9,8 @@ The algebra's own evaluation loop then runs once per assignment on the
 sides written one after the other, an Ok(2) oplist, and yields both
 values.  Assignments enumerate in mixed-radix lexicographic order with the
 leftmost variable most significant, which makes the reported
-counterexample the least one.
+counterexample the least one.  A theory builds one extended signature per
+distinct variable list, which its equations with that list share.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .errors import (
     SignatureError,
     SignatureMismatchError,
 )
-from .signature import OpSymbol, Signature
+from .signature import OpSymbol, Signature, _shown
 from .syntax import parse_term
 from .terms import Term, format_term
 
@@ -46,11 +47,12 @@ class Equation:
         if self.lhs.signature != self.rhs.signature:
             raise SignatureMismatchError("equation sides are over different signatures")
         extended = self.lhs.signature
-        if not 0 <= self.context_size <= len(extended):
+        n = self.context_size
+        if isinstance(n, bool) or not isinstance(n, int) or not 0 <= n <= len(extended):
             raise SignatureMismatchError(
-                f"context size {self.context_size} does not fit the signature"
+                f"context size {_shown(n)} does not fit the signature"
             )
-        for _, arity in extended.entries()[len(extended) - self.context_size:]:
+        for _, arity in extended.entries()[len(extended) - n:]:
             if arity != 0:
                 raise SignatureMismatchError("variable symbols must have arity 0")
 
@@ -96,6 +98,7 @@ class Theory:
         if not isinstance(name, str) or not isinstance(rows, list):
             raise FormatError("theory name must be a string and equations a list")
         equations = []
+        seen = {}  # one extended signature per distinct variable list
         for i, row in enumerate(rows):
             if not isinstance(row, dict) or set(row) != {"label", "vars", "lhs", "rhs"}:
                 raise FormatError(
@@ -107,7 +110,7 @@ class Theory:
                 raise FormatError(f'equation {i}: "vars" must be a list of names')
             if not all(isinstance(row[key], str) for key in ("label", "lhs", "rhs")):
                 raise FormatError(f'equation {i}: "label", "lhs" and "rhs" must be strings')
-            eq = parse_equation(signature, row["vars"], row["lhs"], row["rhs"])
+            eq = _parse_with(signature, tuple(row["vars"]), row["lhs"], row["rhs"], seen)
             equations.append((row["label"], eq))
         return cls(name, tuple(equations))
 
@@ -119,17 +122,21 @@ def parse_equation(
     symbol per variable, named as given; var_names order fixes the
     variable indices.  Equations that differ only in their variable names
     are therefore different values."""
-    var_names = list(var_names)
-    if len(var_names) != len(set(var_names)):
-        raise FormatError(f"duplicate variable names: {var_names}")
-    for v in var_names:
-        if v in signature._by_name:
-            raise FormatError(f"variable name {v!r} collides with a symbol name")
-    try:
-        extended = Signature(signature.entries() + tuple((v, 0) for v in var_names))
-    except SignatureError as exc:
-        raise FormatError(str(exc)) from None
-    return Equation(len(var_names), parse_term(extended, lhs), parse_term(extended, rhs))
+    return _parse_with(signature, tuple(var_names), lhs, rhs, {})
+
+
+def _parse_with(base: Signature, names: tuple, lhs: str, rhs: str, seen: dict) -> Equation:
+    # seen maps each variable list already extended in this load to its signature
+    if names not in seen:
+        for v in names:  # Signature would call a clash with the base a repeat
+            if v in base._by_name:
+                raise FormatError(f"variable name {v!r} collides with a symbol name")
+        try:
+            seen[names] = Signature(base.entries() + tuple((v, 0) for v in names))
+        except SignatureError as exc:
+            raise FormatError(str(exc)) from None
+    extended = seen[names]
+    return Equation(len(names), parse_term(extended, lhs), parse_term(extended, rhs))
 
 
 def _check_base(algebra: FiniteAlgebra, equation: Equation) -> None:

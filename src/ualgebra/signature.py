@@ -178,13 +178,12 @@ class Signature:
                 raise FormatError(
                     f'symbol {i} must be {{"name": ..., "arity": ...}}'
                 )
-            name, arity = row["name"], row["arity"]
-            if not isinstance(arity, int) or isinstance(arity, bool) or arity < 0:
-                raise FormatError(f"symbol {i}: arity must be a natural number")
-            if arity > limit:
-                raise FormatError(f"symbol {i}: arity {arity} exceeds limit {limit}")
-            entries.append((name, arity))
+            entries.append((row["name"], row["arity"]))
         try:
-            return cls(entries)
+            signature = cls(entries)
         except SignatureError as exc:
             raise FormatError(str(exc)) from None
+        for i, arity in enumerate(signature._arities):
+            if arity > limit:
+                raise FormatError(f"symbol {i}: arity {_shown(arity)} exceeds limit {limit}")
+        return signature

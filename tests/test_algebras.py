@@ -231,3 +231,18 @@ def test_from_json_rejects_tables_given_as_a_list():
     with pytest.raises(FormatError) as info:
         FiniteAlgebra.from_json(NAT, {"carrier": 2, "tables": []})
     assert str(info.value) == '"tables" must map symbol names to arrays'
+
+
+@pytest.mark.parametrize(
+    "carrier, message",
+    [
+        (0, "carrier must have at least one element, got 0"),
+        (True, "carrier must have at least one element, got True"),
+    ],
+    ids=["zero", "bool"],
+)
+def test_from_json_carrier_is_checked_by_the_constructor(carrier, message):
+    data = {"carrier": carrier, "tables": {"z": [0], "s": [0]}}
+    with pytest.raises(FormatError) as info:
+        FiniteAlgebra.from_json(NAT, data)
+    assert str(info.value) == message

@@ -288,6 +288,18 @@ def test_non_string_symbol_name_is_usage_error(capsys, tmp_path):
     assert err == "ua: error: symbol name at index 0 is not a string: int\n"
 
 
+def test_repeated_theory_variable_is_usage_error(capsys, tmp_path):
+    theory = tmp_path / "theory.json"
+    theory.write_text(json.dumps({"name": "t", "equations": [
+        {"label": "comm", "vars": ["x", "x"], "lhs": "xor(x,x)", "rhs": "e"}
+    ]}))
+    code, out, err = run(
+        capsys, "sat", "--sig", XOR, "--alg", B2_XOR, "--theory", str(theory)
+    )
+    assert (code, out) == (2, "")
+    assert err == "ua: error: duplicate symbol name: 'x'\n"
+
+
 def test_invalid_json_file(capsys):
     code, _, err = run(capsys, "depth", "--sig", str(DATA / "invalid.json"), "z")
     assert code == 2

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -228,10 +230,56 @@ def test_theory_json_round_trip():
 
 
 def test_parse_equation_variable_rules():
-    with pytest.raises(FormatError, match="duplicate"):
+    with pytest.raises(FormatError) as info:
         parse_equation(XOR, ["x", "x"], "x", "x")
+    assert str(info.value) == "duplicate symbol name: 'x'"
     with pytest.raises(FormatError, match="collides"):
         parse_equation(XOR, ["e"], "e", "e")
+
+
+def test_theory_rows_with_one_variable_list_share_one_signature():
+    rows = [["x", "y"], ["x"], ["x", "y"], ["y", "x"], ["x"], []]
+    data = {
+        "name": "t",
+        "equations": [
+            {"label": f"e{i}", "vars": names, "lhs": "e", "rhs": "e"}
+            for i, names in enumerate(rows)
+        ],
+    }
+    theory = Theory.from_json(XOR, data)
+    equations = [eq for _, eq in theory.equations]
+    for eq in equations:
+        assert eq.rhs.signature is eq.lhs.signature
+    for i, eq in enumerate(equations):
+        for j, other in enumerate(equations):
+            shared = eq.lhs.signature is other.lhs.signature
+            assert shared == (rows[i] == rows[j]), (rows[i], rows[j])
+    assert theory.to_json() == data
+
+
+def test_theory_memory_does_not_grow_with_the_signature_per_equation():
+    # a theory holds one extended signature per variable list, so eight
+    # equations with one list retain about what one does, not eight
+    # copies of a 2^14-symbol signature
+    base = Signature([("f", 2)] + [(f"g{i}", i % 3) for i in range(1, 2 ** 14)])
+
+    def retained(count):
+        rows = [
+            {"label": f"e{i}", "vars": ["x", "y"], "lhs": "f(x,y)", "rhs": "f(y,x)"}
+            for i in range(count)
+        ]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            theory = Theory.from_json(base, {"name": "t", "equations": rows})
+            size = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(theory.equations) == count
+        return size
+
+    one, eight = retained(1), retained(8)
+    assert eight < 2 * one, (one, eight)
 
 
 def test_vars_order_fixes_indices():
@@ -269,8 +317,14 @@ X = Term(XOR_X, (2,))
         (-1, X, "context size -1 does not fit the signature"),
         (4, X, "context size 4 does not fit the signature"),
         (3, X, "variable symbols must have arity 0"),
+        (1.0, X, "context size 1.0 does not fit the signature"),
+        (True, X, "context size True does not fit the signature"),
+        ("1", X, "context size '1' does not fit the signature"),
     ],
-    ids=["sides", "negative-context", "context-too-large", "variable-arity"],
+    ids=[
+        "sides", "negative-context", "context-too-large", "variable-arity",
+        "float-context", "bool-context", "str-context",
+    ],
 )
 def test_equation_rejects_a_bad_variable_split(context_size, lhs, message):
     with pytest.raises(SignatureMismatchError) as info:
@@ -284,8 +338,9 @@ def test_equation_rejects_a_bad_variable_split(context_size, lhs, message):
         (-1, "context size -1 does not fit the signature"),
         (4, "context size 4 does not fit the signature"),
         (3, "variable symbols must have arity 0"),
+        (True, "context size True does not fit the signature"),
     ],
-    ids=["negative-context", "context-too-large", "variable-arity"],
+    ids=["negative-context", "context-too-large", "variable-arity", "bool-context"],
 )
 def test_evaluate_with_rejects_a_bad_variable_split(context_size, message):
     with pytest.raises(SignatureMismatchError) as info:

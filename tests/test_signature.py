@@ -1,12 +1,13 @@
 import pytest
 
 from ualgebra.algebras import FiniteAlgebra, check_homomorphism
-from ualgebra.equations import evaluate_with
+from ualgebra.equations import Equation, evaluate_with
 from ualgebra.errors import (
     CarrierMismatchError,
     FormatError,
     InvalidSymbolError,
     SignatureError,
+    SignatureMismatchError,
 )
 from ualgebra.oplist import check_indices, format_oplist, status_of
 from ualgebra.signature import Signature
@@ -73,17 +74,25 @@ NAT_X = NAT.extend_with_variables(1)
 
 
 @pytest.mark.parametrize(
-    "call",
+    "call, error",
     [
-        lambda: FiniteAlgebra(NAT, -HUGE, [[0], [0]]),
-        lambda: FiniteAlgebra(NAT, 2, [[-HUGE], [1, 0]]),
-        lambda: N2.apply("s", [-HUGE]),
-        lambda: evaluate_with(N2, 1, Term(NAT_X, (2,)), [-HUGE]),
-        lambda: check_homomorphism(N2, N2, [0, -HUGE]),
-        lambda: check_indices(NAT, (HUGE,)),
-        lambda: Term(NAT, (HUGE,)),
-        lambda: status_of(NAT, (HUGE,)),
-        lambda: format_oplist(NAT, (HUGE,)),
+        (lambda: FiniteAlgebra(NAT, -HUGE, [[0], [0]]), CarrierMismatchError),
+        (lambda: FiniteAlgebra(NAT, 2, [[-HUGE], [1, 0]]), CarrierMismatchError),
+        (lambda: N2.apply("s", [-HUGE]), CarrierMismatchError),
+        (lambda: evaluate_with(N2, 1, Term(NAT_X, (2,)), [-HUGE]), CarrierMismatchError),
+        (lambda: check_homomorphism(N2, N2, [0, -HUGE]), CarrierMismatchError),
+        (lambda: check_indices(NAT, (HUGE,)), InvalidSymbolError),
+        (lambda: Term(NAT, (HUGE,)), InvalidSymbolError),
+        (lambda: status_of(NAT, (HUGE,)), InvalidSymbolError),
+        (lambda: format_oplist(NAT, (HUGE,)), InvalidSymbolError),
+        (
+            lambda: Equation(HUGE, Term(NAT_X, (2,)), Term(NAT_X, (2,))),
+            SignatureMismatchError,
+        ),
+        (
+            lambda: Signature.from_json({"symbols": [{"name": "f", "arity": HUGE}]}),
+            FormatError,
+        ),
     ],
     ids=[
         "carrier",
@@ -95,11 +104,13 @@ NAT_X = NAT.extend_with_variables(1)
         "Term",
         "status_of",
         "format_oplist",
+        "Equation",
+        "signature-from_json",
     ],
 )
-def test_value_too_long_to_print_is_named_by_its_size(call):
+def test_value_too_long_to_print_is_named_by_its_size(call, error):
     # every message that shows a value goes through signature._shown
-    with pytest.raises((CarrierMismatchError, InvalidSymbolError)) as info:
+    with pytest.raises(error) as info:
         call()
     assert f"integer of {HUGE.bit_length()} bits" in str(info.value)
 
@@ -203,3 +214,18 @@ def test_from_json_limits():
 def test_from_json_rejects_malformed(data):
     with pytest.raises(FormatError):
         Signature.from_json(data)
+
+
+@pytest.mark.parametrize(
+    "arity, message",
+    [
+        ("0", "bad arity for 'z': '0'"),
+        (-1, "bad arity for 'z': -1"),
+        (True, "bad arity for 'z': True"),
+    ],
+    ids=["str", "negative", "bool"],
+)
+def test_from_json_arity_is_checked_by_the_constructor(arity, message):
+    with pytest.raises(FormatError) as info:
+        Signature.from_json({"symbols": [{"name": "z", "arity": arity}]})
+    assert str(info.value) == message

@@ -234,9 +234,8 @@ def test_printed_text_parses_without_a_token_list(shape):
 def test_parse_and_format_cost_does_not_grow_with_the_signature():
     # parsing and printing over a signature that is already in use must
     # not redo work that grows with it: the print tables are built once
-    # per signature.  Theory loading gains nothing from this, because
-    # parse_equation builds a fresh extended signature, and so fresh print
-    # tables, for every equation
+    # per signature.  Theory loading gains from this, because its equations
+    # with one variable list share one extended signature
     sig = Signature([("a", 0)] + [(f"g{i}", i % 3) for i in range(1, 2 ** 16)])
     parse_term(sig, "a")  # builds the signature's print tables
     tracemalloc.start()
