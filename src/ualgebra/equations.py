@@ -3,14 +3,17 @@ theory (variety presentation) membership.
 
 Variables are ordinary arity-0 symbols appended to the base signature, so
 both sides of an equation are plain terms over the extended signature;
-`Equation` is the one check of that split.  An assignment extends the
-algebra to that signature: variable i gets the one-entry table (value,).
-The algebra's own evaluation loop then runs once per assignment on the
-sides written one after the other, an Ok(2) oplist, and yields both
-values.  Assignments enumerate in mixed-radix lexicographic order with the
-leftmost variable most significant, which makes the reported
-counterexample the least one.  A theory builds one extended signature per
-distinct variable list, which its equations with that list share.
+`Equation` is the one check of that split.  Assignments enumerate in
+mixed-radix lexicographic order with the leftmost variable most
+significant, which makes the reported counterexample the least one.  The
+sides written one after the other form an Ok(2) oplist, and one pass
+yields both values.  A scan's head (all of a space of at most 64) runs the
+scalar loop per assignment, variable i having the one-entry table
+(value,).  Then each band [size^k, size^(k+1)), and past 10^4 each aligned
+block of at most max(10^4, size), is one pass in the power of the algebra
+over its assignments; a violation at assignment i costs O(size * i)
+evaluations.  A theory builds one extended signature per distinct variable
+list, which its equations with that list share.
 """
 
 from __future__ import annotations
@@ -19,7 +22,13 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .algebras import FiniteAlgebra, _check_elements, _evaluate_ops, _power_within
+from .algebras import (
+    FiniteAlgebra,
+    _check_elements,
+    _evaluate_columns,
+    _evaluate_ops,
+    _power_within,
+)
 from .errors import (
     BudgetExceededError,
     CarrierMismatchError,
@@ -33,6 +42,12 @@ from .terms import Term, format_term
 
 # Default cap on carrier_size ** context_size per satisfaction check.
 DEFAULT_BUDGET = 10 ** 7
+
+# A column pass of any length costs several scalar ones, so a space of at most
+# _SCALAR_HEAD assignments and the head of a larger one stay scalar; no column
+# block is longer than _BLOCK_CAP, which bounds the memory a scan holds.
+_SCALAR_HEAD = 64
+_BLOCK_CAP = 10 ** 4
 
 
 @dataclass(frozen=True)
@@ -177,17 +192,69 @@ def find_violation(
     _check_base(algebra, equation)
     n = equation.context_size
     size = algebra.carrier_size
-    if _power_within(size, n, budget) is None:
+    total = _power_within(size, n, budget)
+    if total is None:
         raise BudgetExceededError(f"{size}^{n} assignments exceed budget {budget}")
     arities = equation.lhs.signature._arities
     tables = algebra.tables
     both = equation.lhs.ops + equation.rhs.ops  # status Ok(2)
     # each assignment as the variables' one-entry tables, in the same order
     singletons = tuple((value,) for value in range(size))
-    for extra in itertools.product(singletons, repeat=n):
+    assignments = itertools.product(singletons, repeat=n)
+    head = total
+    if total > _SCALAR_HEAD:
+        # the least power of size whose next band holds _SCALAR_HEAD
+        head = 1
+        while (size - 1) * head < _SCALAR_HEAD:
+            head *= size
+        assignments = itertools.islice(assignments, head)
+    for extra in assignments:
         rhs, lhs = _evaluate_ops(arities, tables + extra, size, both)
         if lhs != rhs:
             return tuple(value for (value,) in extra)
+    if head < total:
+        return _scan_columns(arities, tables, size, n, both, head, total)
+    return None
+
+
+def _scan_columns(arities, tables, size, n, both, start, total):
+    # the assignments from `start`, a power of size, on: bands while one fits
+    # _BLOCK_CAP, then aligned blocks of the largest power of size within it;
+    # each block is one pass in the power of the algebra over its assignments.
+    # A carrier larger than the cap takes blocks of its size, not of one
+    cap = max(_BLOCK_CAP, size)
+    base = len(tables)
+    used = {op for op in both if op < base}
+    power = list(tables)
+    for op in used:
+        if arities[op] == 2:
+            power[op] = [tables[op][i:i + size] for i in range(0, size * size, size)]
+    constants = [op for op in used if arities[op] == 0]
+    aligned = 1
+    while aligned * size <= cap:
+        aligned *= size
+    while start < total:
+        # `count` runs of `step` assignments; start is a multiple of step
+        step, count = (start, size - 1) if (size - 1) * start <= cap else (aligned, 1)
+        length = step * count
+        columns = []
+        for i in range(n):
+            place = size ** (n - 1 - i)
+            digit = start // place % size
+            if place > step:  # fixed over the block
+                columns.append([digit] * length)
+                continue
+            runs = range(digit, digit + count if place == step else size)
+            column = list(itertools.chain.from_iterable([v] * place for v in runs))
+            columns.append(column * (length // len(column)))
+        for op in constants:
+            power[op] = [tables[op][0]] * length
+        power[base:] = columns
+        rhs, lhs = _evaluate_columns(arities, power, size, both)
+        if lhs != rhs:
+            at = next(i for i, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
+            return tuple(column[at] for column in columns)
+        start += length
     return None
 
 

@@ -15,14 +15,22 @@ from .errors import FormatError, InvalidSymbolError, SignatureError
 SANITY_LIMIT = 2 ** 16
 
 
+# Longest repr of a non-int value that a message shows in full.
+_SHOWN_LIMIT = 60
+
+
 def _shown(value) -> str:
     # repr, except for an int too long to print (Python refuses past 4300
-    # digits): then its size in bits
+    # digits): then its size in bits; and a non-int whose repr is longer
+    # than _SHOWN_LIMIT shows its prefix and its length
+    if not isinstance(value, int):
+        text = repr(value)
+        if len(text) > _SHOWN_LIMIT:
+            return f"{text[:_SHOWN_LIMIT]}... ({len(text)} characters)"
+        return text
     try:
         return repr(value)
     except ValueError:
-        if not isinstance(value, int):
-            raise
         article = "a negative" if value < 0 else "an"
         return f"{article} integer of {value.bit_length()} bits"
 
@@ -69,7 +77,13 @@ class Signature:
     __slots__ = ("_entries", "_arities", "symbols", "_by_name", "_hash", "_printer")
 
     def __init__(self, entries: Iterable[tuple[str, int]]):
-        entries = tuple((name, arity) for name, arity in entries)
+        # every entry is unpacked, so a malformed one raises here; one that
+        # is already a pair, such as another signature's entry, is kept
+        entries = tuple(
+            entry if type(entry) is tuple else (name, arity)
+            for entry in entries
+            for name, arity in (entry,)
+        )
         by_name: dict[str, int] = {}
         for i, (name, arity) in enumerate(entries):
             if not isinstance(name, str):

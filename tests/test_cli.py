@@ -19,6 +19,9 @@ XOR_THEORY = str(DATA / "xor_theory.json")
 PROJ = str(DATA / "proj_sig.json")
 PROJ_ALG = str(DATA / "proj_alg.json")
 PROJ_THEORY = str(DATA / "proj_theory.json")
+# laws of 7 and 8 variables: 2^7 and 2^8 assignments, past the scalar head
+XOR_WIDE_THEORY = str(DATA / "xor_wide_theory.json")
+PROJ_WIDE_THEORY = str(DATA / "proj_wide_theory.json")
 
 
 def run(capsys, *argv):
@@ -203,6 +206,25 @@ def test_sat_and_table_fails_unit_first(capsys):
     )
 
 
+def test_sat_model_through_column_blocks(capsys):
+    assert_golden(
+        capsys,
+        ["sat", "--sig", XOR, "--alg", B2_XOR, "--theory", XOR_WIDE_THEORY],
+        0,
+        "model\n",
+    )
+
+
+def test_sat_failure_on_the_first_column_block(capsys):
+    # assignment 64 = 2^6, the first one past the scalar head
+    assert_golden(
+        capsys,
+        ["sat", "--sig", PROJ, "--alg", PROJ_ALG, "--theory", PROJ_WIDE_THEORY],
+        1,
+        "fails comm8 at (0,1,0,0,0,0,0,0)\n",
+    )
+
+
 def test_sat_json(capsys):
     code, out, _ = run(
         capsys,
@@ -298,6 +320,19 @@ def test_repeated_theory_variable_is_usage_error(capsys, tmp_path):
     )
     assert (code, out) == (2, "")
     assert err == "ua: error: duplicate symbol name: 'x'\n"
+
+
+def test_long_value_in_a_file_gives_a_short_error_line(tmp_path):
+    sig = tmp_path / "sig.json"
+    sig.write_text(json.dumps({"symbols": [{"name": "f", "arity": "7" * 10 ** 6}]}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ualgebra", "depth", "--sig", str(sig), "f"],
+        capture_output=True,
+    )
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr.startswith(b"ua: error: bad arity for 'f': '777")
+    assert proc.stderr.endswith(b"... (1000002 characters)\n")
+    assert proc.stderr.count(b"\n") == 1 and len(proc.stderr) < 300
 
 
 def test_invalid_json_file(capsys):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ualgebra import equations
 from ualgebra.algebras import FiniteAlgebra
 from ualgebra.equations import (
     Equation,
@@ -171,6 +172,147 @@ def test_budget_guard():
     with pytest.raises(BudgetExceededError):
         find_violation(PROJ_ALG, eq, budget=3)
     assert find_violation(PROJ_ALG, eq, budget=4) == (0, 1)
+
+
+# ------------------------------------------------------------ column scan
+
+CAP = 10 ** 4  # the block cap the scan is specified with
+
+
+def marked(size, n, index):
+    """An algebra and an n-variable equation whose only violation is
+    assignment number `index` in lexicographic order (None: it holds).
+    The sides run every kernel branch: f/n, p/2 (left projection), u/1
+    (identity) and z/0."""
+    sig = Signature([("f", n), ("p", 2), ("u", 1), ("z", 0)])
+    table = [0] * size ** n
+    if index is not None:
+        table[index] = 1
+    tables = [table, [x for x in range(size) for _ in range(size)], list(range(size)), [0]]
+    names = [f"x{i}" for i in range(n)]
+    eq = parse_equation(sig, names, f"p(f({','.join(names)}),x0)", f"p(u(z),x{n - 1})")
+    return FiniteAlgebra(sig, size, tables), eq
+
+
+def digits(size, n, index):
+    return tuple(index // size ** (n - 1 - i) % size for i in range(n))
+
+
+def head_end(size):
+    # the scalar head: the least size^w with (size - 1) * size^w >= 64
+    power = 1
+    while (size - 1) * power < 64:
+        power *= size
+    return power
+
+
+def bands_end(size):
+    # the first assignment past the bands: the least size^k with
+    # (size - 1) * size^k > CAP
+    power = 1
+    while (size - 1) * power <= CAP:
+        power *= size
+    return power
+
+
+def cap_step(size):
+    # the length of an aligned block: the largest power of size within CAP
+    power = 1
+    while power * size <= CAP:
+        power *= size
+    return power
+
+
+# one variable count per carrier, for spaces of 125 to 1024 assignments
+SMALL_SPACES = {2: 8, 3: 6, 4: 5, 5: 4}
+
+
+def boundary_cases():
+    for size, n in SMALL_SPACES.items():
+        total = size ** n
+        spots = {total - 1, head_end(size) - 1, head_end(size)}
+        for j in range(1, n):
+            spots |= {size ** j - 1, size ** j}
+        for index in sorted(spots):
+            yield pytest.param(size, n, index, id=f"c{size}-n{n}-at{index}")
+        yield pytest.param(size, n, None, id=f"c{size}-n{n}-holds")
+
+
+@pytest.mark.parametrize("size, n, index", boundary_cases())
+def test_column_scan_finds_the_least_violation_on_block_boundaries(size, n, index):
+    algebra, eq = marked(size, n, index)
+    want = None if index is None else digits(size, n, index)
+    assert find_violation(algebra, eq) == oracles.least_violation(algebra, eq) == want
+
+
+# variable counts whose spaces reach past the bands into aligned blocks
+CAPPED_SPACES = {2: 15, 3: 9, 4: 7, 5: 6}
+
+
+@pytest.mark.parametrize(
+    "size, n, index",
+    [
+        pytest.param(size, n, bands_end(size) + k * cap_step(size), id=f"c{size}-block{k}")
+        for size, n in CAPPED_SPACES.items()
+        for k in (0, 1)
+    ],
+)
+def test_column_scan_finds_a_violation_at_an_aligned_block_start(size, n, index):
+    assert bands_end(size) % cap_step(size) == 0
+    assert index + cap_step(size) <= size ** n
+    algebra, eq = marked(size, n, index)
+    assert find_violation(algebra, eq) == oracles.least_violation(algebra, eq)
+    assert find_violation(algebra, eq) == digits(size, n, index)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    head=st.sampled_from([1, 2, 7, 64]),
+    cap=st.sampled_from([1, 2, 7, CAP]),
+)
+def test_every_scan_schedule_agrees_with_tree_oracle(data, head, cap):
+    """With small thresholds every schedule shape runs: a head of one
+    assignment, bands of one entry, aligned blocks as short as the
+    carrier, over carriers 1-3, arities 0-3 and 0-4 variables."""
+    algebra = data.draw(small_algebras())
+    n = data.draw(st.integers(0, 4))
+    pool = enumerate_terms(algebra.signature.extend_with_variables(n), 5)
+    eq = Equation(n, data.draw(st.sampled_from(pool)), data.draw(st.sampled_from(pool)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(equations, "_SCALAR_HEAD", head)
+        patch.setattr(equations, "_BLOCK_CAP", cap)
+        got = find_violation(algebra, eq)
+    assert got == oracles.least_violation(algebra, eq)
+
+
+def test_carrier_past_the_cap_is_scanned_in_blocks_of_its_size(monkeypatch):
+    size = CAP + 3
+    sig = Signature([("s", 1)])
+    algebra = FiniteAlgebra(sig, size, [list(range(size - 1)) + [0]])
+    eq = parse_equation(sig, ["x"], "s(x)", "x")
+    passes = []
+    evaluate = equations._evaluate_columns
+
+    def counted(*args):
+        passes.append(len(args[1][-1]))  # the length of x's column
+        return evaluate(*args)
+
+    monkeypatch.setattr(equations, "_evaluate_columns", counted)
+    assert find_violation(algebra, eq) == oracles.least_violation(algebra, eq) == (size - 1,)
+    assert passes == [size - 1]  # one band after a scalar head of one
+
+
+def test_budget_is_checked_before_any_column_is_built(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("a column was built")
+
+    monkeypatch.setattr(equations, "_scan_columns", unreachable)
+    algebra, eq = marked(2, 8, 200)  # 256 assignments, past the scalar head
+    with pytest.raises(BudgetExceededError):
+        find_violation(algebra, eq, budget=255)
+    with pytest.raises(AssertionError, match="a column was built"):
+        find_violation(algebra, eq, budget=256)
 
 
 # ------------------------------------------------------------ theories

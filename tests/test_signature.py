@@ -115,6 +115,55 @@ def test_value_too_long_to_print_is_named_by_its_size(call, error):
     assert f"integer of {HUGE.bit_length()} bits" in str(info.value)
 
 
+LONG = "7" * 10 ** 6
+SHOWN = "'" + "7" * 59 + "... (1000002 characters)"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: Signature.from_json({"symbols": [{"name": "f", "arity": LONG}]}),
+            f"bad arity for 'f': {SHOWN}",
+        ),
+        (
+            lambda: FiniteAlgebra.from_json(NAT, {"carrier": LONG, "tables": {"z": [0], "s": [0]}}),
+            f"carrier must have at least one element, got {SHOWN}",
+        ),
+    ],
+    ids=["signature-from_json", "algebra-from_json"],
+)
+def test_long_value_is_shown_as_a_prefix_and_its_length(call, message):
+    with pytest.raises(FormatError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_extension_keeps_the_base_entries():
+    base = Signature([("f", 2)] + [(f"g{i}", i % 3) for i in range(1, 2 ** 14)])
+    extended = Signature(base.entries() + (("x", 0),))
+    assert all(
+        mine is theirs for mine, theirs in zip(extended.entries(), base.entries())
+    )
+    assert extended.entries()[: len(base)] == base.entries()
+
+
+@pytest.mark.parametrize(
+    "entries, error, message",
+    [
+        ([("a", 0, 1)], ValueError, "too many values to unpack (expected 2)"),
+        ([5], TypeError, "cannot unpack non-iterable int object"),
+        ([("", 0), ("a",)], ValueError, "not enough values to unpack (expected 2, got 1)"),
+        (["ab"], SignatureError, "bad arity for 'a': 'b'"),
+    ],
+    ids=["triple", "int", "unpacked-first", "string"],
+)
+def test_malformed_entries_raise_as_before(entries, error, message):
+    with pytest.raises(error) as info:
+        Signature(entries)
+    assert str(info.value) == message
+
+
 def test_arity_out_of_range():
     with pytest.raises(InvalidSymbolError):
         NAT.arity(2)
