@@ -10,15 +10,13 @@ values of the k terms on its stack, rightmost term first; a term gives one
 value, and an equation's two sides written one after the other give both
 in one pass.  It knows nothing of variables: to evaluate under an
 assignment, `equations` extends the algebra to the variables, which are
-arity-0 symbols, by one-entry tables holding their values.  The column
-kernel is the same pass in a power A^B of the algebra, each value a column.
+arity-0 symbols, by one-entry tables holding their values.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import getitem
 from typing import Sequence
 
 from .errors import (
@@ -26,8 +24,9 @@ from .errors import (
     CarrierMismatchError,
     FormatError,
     SignatureMismatchError,
+    _shown,
 )
-from .signature import OpSymbol, Signature, _shown
+from .signature import OpSymbol, Signature
 from .terms import Term
 
 
@@ -64,7 +63,12 @@ class FiniteAlgebra:
 
     def apply(self, symbol, args: Sequence[int]) -> int:
         """Apply one operation table to a tuple of carrier elements."""
-        sym = symbol if isinstance(symbol, OpSymbol) else self.signature.symbol(symbol)
+        if isinstance(symbol, OpSymbol):
+            if symbol.signature != self.signature:
+                raise SignatureMismatchError("symbol is over a different signature")
+            sym = symbol
+        else:
+            sym = self.signature.symbol(symbol)
         if len(args) != sym.arity:
             raise ArityMismatchError(sym.name, sym.arity, len(args))
         size = self.carrier_size
@@ -176,28 +180,6 @@ def _evaluate_ops(arities, tables, size, ops):
             for _ in range(a):
                 index = index * size + pop()
             push(tables[op][index])
-    return stack
-
-
-def _evaluate_columns(arities, tables, size, ops):
-    # _evaluate_ops in a power of the algebra, each value a column.  In
-    # `tables`, an arity-0 symbol has its column and a binary symbol its
-    # table as a list of rows; every other symbol keeps its flat table
-    stack = []
-    for op in reversed(ops):
-        a = arities[op]
-        if a == 0:
-            stack.append(tables[op])
-        elif a == 1:
-            stack[-1] = list(map(tables[op].__getitem__, stack[-1]))
-        elif a == 2:
-            x = stack.pop()
-            stack[-1] = list(map(getitem, map(tables[op].__getitem__, x), stack[-1]))
-        else:
-            index = stack.pop()
-            for _ in range(a - 1):
-                index = [i * size + v for i, v in zip(index, stack.pop())]
-            stack.append(list(map(tables[op].__getitem__, index)))
     return stack
 
 

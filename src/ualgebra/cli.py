@@ -15,7 +15,7 @@ import sys
 
 from .algebras import FiniteAlgebra, check_homomorphism
 from .equations import DEFAULT_BUDGET, Theory, check_model
-from .errors import FormatError, UAlgebraError
+from .errors import FormatError, UAlgebraError, _shown
 from .oplist import Ok, parse_oplist, status_of
 from .signature import SANITY_LIMIT, Signature
 from .syntax import parse_term
@@ -110,7 +110,7 @@ def _parse_map(text: str, size: int) -> list[int]:
             key, _, value = piece.partition(":")
             mapping[int(key)] = int(value)
         except ValueError:
-            raise FormatError(f"bad --map entry {piece!r}, expected SRC:DST") from None
+            raise FormatError(f"bad --map entry {_shown(piece)}, expected SRC:DST") from None
     if len(parts) != size or set(mapping) != set(range(size)):
         raise FormatError(
             f"--map must assign each of 0..{size - 1} exactly once"

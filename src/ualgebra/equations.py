@@ -10,22 +10,23 @@ sides written one after the other form an Ok(2) oplist, and one pass
 yields both values.  A scan's head (all of a space of at most 64) runs the
 scalar loop per assignment, variable i having the one-entry table
 (value,).  Then each band [size^k, size^(k+1)), and past 10^4 each aligned
-block of at most max(10^4, size), is one pass in the power of the algebra
-over its assignments; a violation at assignment i costs O(size * i)
-evaluations.  A theory builds one extended signature per distinct variable
-list, which its equations with that list share.
+block of at most max(10^4, size), is one `fold` of each side in the power
+of the algebra over its assignments, whose elements are columns; a
+violation at assignment i costs O(size * i) evaluations.  A theory builds
+one extended signature per distinct variable list, which its equations
+with that list share.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import getitem
 from typing import Sequence
 
 from .algebras import (
     FiniteAlgebra,
     _check_elements,
-    _evaluate_columns,
     _evaluate_ops,
     _power_within,
 )
@@ -35,10 +36,11 @@ from .errors import (
     FormatError,
     SignatureError,
     SignatureMismatchError,
+    _shown,
 )
-from .signature import OpSymbol, Signature, _shown
+from .signature import OpSymbol, Signature
 from .syntax import parse_term
-from .terms import Term, format_term
+from .terms import Term, fold, format_term
 
 # Default cap on carrier_size ** context_size per satisfaction check.
 DEFAULT_BUDGET = 10 ** 7
@@ -89,7 +91,7 @@ class Theory:
     def __post_init__(self):
         labels = [label for label, _ in self.equations]
         if len(labels) != len(set(labels)):
-            raise FormatError(f"duplicate equation labels in theory {self.name!r}")
+            raise FormatError(f"duplicate equation labels in theory {_shown(self.name)}")
 
     def to_json(self) -> dict:
         rows = []
@@ -145,7 +147,7 @@ def _parse_with(base: Signature, names: tuple, lhs: str, rhs: str, seen: dict) -
     if names not in seen:
         for v in names:  # Signature would call a clash with the base a repeat
             if v in base._by_name:
-                raise FormatError(f"variable name {v!r} collides with a symbol name")
+                raise FormatError(f"variable name {_shown(v)} collides with a symbol name")
         try:
             seen[names] = Signature(base.entries() + tuple((v, 0) for v in names))
         except SignatureError as exc:
@@ -213,23 +215,37 @@ def find_violation(
         if lhs != rhs:
             return tuple(value for (value,) in extra)
     if head < total:
-        return _scan_columns(arities, tables, size, n, both, head, total)
+        return _scan_columns(tables, size, n, equation, head, total)
     return None
 
 
-def _scan_columns(arities, tables, size, n, both, start, total):
+def _scan_columns(tables, size, n, equation, start, total):
     # the assignments from `start`, a power of size, on: bands while one fits
     # _BLOCK_CAP, then aligned blocks of the largest power of size within it;
-    # each block is one pass in the power of the algebra over its assignments.
-    # A carrier larger than the cap takes blocks of its size, not of one
+    # each block is one fold of each side in the power of the algebra over its
+    # assignments.  A carrier past the cap takes blocks of its size, not of one
     cap = max(_BLOCK_CAP, size)
     base = len(tables)
-    used = {op for op in both if op < base}
-    power = list(tables)
-    for op in used:
-        if arities[op] == 2:
-            power[op] = [tables[op][i:i + size] for i in range(0, size * size, size)]
-    constants = [op for op in used if arities[op] == 0]
+    rows = {}  # binary tables as lists of rows, built on first use
+
+    def operation(symbol, args):
+        # the operation of the power algebra: each value is a column
+        op = symbol.index
+        if not args:
+            return columns[op - base] if op >= base else [tables[op][0]] * length
+        table = tables[op]
+        if len(args) == 1:
+            return list(map(table.__getitem__, args[0]))
+        if len(args) == 2:
+            if op not in rows:
+                rows[op] = [table[i:i + size] for i in range(0, size * size, size)]
+            x, y = args
+            return list(map(getitem, map(rows[op].__getitem__, x), y))
+        index = args[0]
+        for column in args[1:]:
+            index = [i * size + v for i, v in zip(index, column)]
+        return list(map(table.__getitem__, index))
+
     aligned = 1
     while aligned * size <= cap:
         aligned *= size
@@ -247,10 +263,8 @@ def _scan_columns(arities, tables, size, n, both, start, total):
             runs = range(digit, digit + count if place == step else size)
             column = list(itertools.chain.from_iterable([v] * place for v in runs))
             columns.append(column * (length // len(column)))
-        for op in constants:
-            power[op] = [tables[op][0]] * length
-        power[base:] = columns
-        rhs, lhs = _evaluate_columns(arities, power, size, both)
+        lhs = fold(operation, equation.lhs)
+        rhs = fold(operation, equation.rhs)
         if lhs != rhs:
             at = next(i for i, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
             return tuple(column[at] for column in columns)

@@ -1,4 +1,24 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and how a message shows a
+value."""
+
+# Longest repr of a non-int value that a message shows in full.
+_SHOWN_LIMIT = 60
+
+
+def _shown(value) -> str:
+    # repr, except for an int too long to print (Python refuses past 4300
+    # digits): then its size in bits; and a non-int whose repr is longer
+    # than _SHOWN_LIMIT shows its prefix and its length
+    if not isinstance(value, int):
+        text = repr(value)
+        if len(text) > _SHOWN_LIMIT:
+            return f"{text[:_SHOWN_LIMIT]}... ({len(text)} characters)"
+        return text
+    try:
+        return repr(value)
+    except ValueError:
+        article = "a negative" if value < 0 else "an"
+        return f"{article} integer of {value.bit_length()} bits"
 
 
 class UAlgebraError(Exception):
@@ -63,7 +83,7 @@ class UnknownSymbolError(TermSyntaxError):
     """The input named a symbol the signature does not define."""
 
     def __init__(self, name, position):
-        TermSyntaxError.__init__(self, f"unknown symbol {name!r}", position)
+        TermSyntaxError.__init__(self, f"unknown symbol {_shown(name)}", position)
         self.name = name
 
 

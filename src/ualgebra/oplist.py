@@ -13,8 +13,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .errors import InvalidSymbolError, StatusMismatchError, UnknownSymbolError
-from .signature import Signature, _shown
+from .errors import InvalidSymbolError, StatusMismatchError, UnknownSymbolError, _shown
+from .signature import Signature
 
 UNDERFLOW = "underflow"
 

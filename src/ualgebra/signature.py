@@ -9,30 +9,10 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .errors import FormatError, InvalidSymbolError, SignatureError
+from .errors import FormatError, InvalidSymbolError, SignatureError, _shown
 
 # Default cap on arity and symbol count when reading untrusted input files.
 SANITY_LIMIT = 2 ** 16
-
-
-# Longest repr of a non-int value that a message shows in full.
-_SHOWN_LIMIT = 60
-
-
-def _shown(value) -> str:
-    # repr, except for an int too long to print (Python refuses past 4300
-    # digits): then its size in bits; and a non-int whose repr is longer
-    # than _SHOWN_LIMIT shows its prefix and its length
-    if not isinstance(value, int):
-        text = repr(value)
-        if len(text) > _SHOWN_LIMIT:
-            return f"{text[:_SHOWN_LIMIT]}... ({len(text)} characters)"
-        return text
-    try:
-        return repr(value)
-    except ValueError:
-        article = "a negative" if value < 0 else "an"
-        return f"{article} integer of {value.bit_length()} bits"
 
 
 class OpSymbol:
@@ -93,9 +73,9 @@ class Signature:
             if not name:
                 raise SignatureError(f"empty symbol name at index {i}")
             if name in by_name:
-                raise SignatureError(f"duplicate symbol name: {name!r}")
+                raise SignatureError(f"duplicate symbol name: {_shown(name)}")
             if not isinstance(arity, int) or isinstance(arity, bool) or arity < 0:
-                raise SignatureError(f"bad arity for {name!r}: {_shown(arity)}")
+                raise SignatureError(f"bad arity for {_shown(name)}: {_shown(arity)}")
             by_name[name] = i
         self._entries = entries
         self._arities = tuple(arity for _, arity in entries)
@@ -117,13 +97,13 @@ class Signature:
         signature's own OpSymbol objects."""
         if isinstance(ref, OpSymbol):
             if ref.signature is not self:
-                raise InvalidSymbolError(f"{ref!r} belongs to a different signature")
+                raise InvalidSymbolError(f"{_shown(ref)} belongs to a different signature")
             return self._arities[ref.index]
         if not isinstance(ref, int) or isinstance(ref, bool):
-            raise InvalidSymbolError(f"not a symbol index: {ref!r}")
+            raise InvalidSymbolError(f"not a symbol index: {_shown(ref)}")
         if not 0 <= ref < len(self._arities):
             raise InvalidSymbolError(
-                f"symbol index {ref} out of range for {len(self._arities)} symbols"
+                f"symbol index {_shown(ref)} out of range for {len(self._arities)} symbols"
             )
         return self._arities[ref]
 
@@ -133,7 +113,7 @@ class Signature:
             try:
                 return self.symbols[self._by_name[ref]]
             except KeyError:
-                raise InvalidSymbolError(f"no symbol named {ref!r}") from None
+                raise InvalidSymbolError(f"no symbol named {_shown(ref)}") from None
         self.arity(ref)  # range check
         return self.symbols[ref]
 

@@ -71,6 +71,11 @@ def test_apply_validates_arguments():
 
     with pytest.raises(ArityMismatchError):
         N4.apply("s", (0, 1))
+    # a symbol of another signature, even one whose index N4 has
+    for symbol, args in ((BIN.symbol("a"), ()), (BIN.symbol("f"), (0, 1))):
+        with pytest.raises(SignatureMismatchError, match="symbol is over a different signature"):
+            N4.apply(symbol, args)
+    assert N4.apply(Signature([("z", 0), ("s", 1)]).symbol("s"), (3,)) == 0
 
 
 # ------------------------------------------------------------ evaluation

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -166,6 +167,16 @@ def test_hom_bad_map(capsys):
     )
     assert code == 2
     assert "--map" in err
+
+
+def test_hom_long_map_entry_gives_a_short_error_line(capsys):
+    code, out, err = run(
+        capsys, "hom", "--sig", NAT, "--from", N4, "--to", N2, "--map", "x" * 10 ** 6
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        "ua: error: bad --map entry '" + "x" * 59 + "... (1000002 characters), expected SRC:DST\n"
+    )
 
 
 def test_hom_map_rejects_duplicates_and_junk(capsys):
@@ -399,6 +410,17 @@ def test_installed_entry_point_matches_in_process():
     ]
     assert runs[0].stdout == runs[1].stdout == b"5\n"
     assert runs[0].returncode == 0
+
+
+def test_package_runs_on_the_standard_library_alone():
+    # -S leaves site-packages off sys.path, so any third-party import fails
+    src = Path(__file__).parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-m", "ualgebra", "depth", "--sig", NAT, "s(z)"],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"2\n", b"")
 
 
 def test_exit_codes_through_real_process():

@@ -292,15 +292,16 @@ def test_carrier_past_the_cap_is_scanned_in_blocks_of_its_size(monkeypatch):
     algebra = FiniteAlgebra(sig, size, [list(range(size - 1)) + [0]])
     eq = parse_equation(sig, ["x"], "s(x)", "x")
     passes = []
-    evaluate = equations._evaluate_columns
+    fold = equations.fold
 
-    def counted(*args):
-        passes.append(len(args[1][-1]))  # the length of x's column
-        return evaluate(*args)
+    def counted(step, term):
+        column = fold(step, term)
+        passes.append(len(column))
+        return column
 
-    monkeypatch.setattr(equations, "_evaluate_columns", counted)
+    monkeypatch.setattr(equations, "fold", counted)
     assert find_violation(algebra, eq) == oracles.least_violation(algebra, eq) == (size - 1,)
-    assert passes == [size - 1]  # one band after a scalar head of one
+    assert passes == [size - 1] * 2  # one band after a scalar head of one, once per side
 
 
 def test_budget_is_checked_before_any_column_is_built(monkeypatch):

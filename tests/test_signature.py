@@ -1,16 +1,18 @@
 import pytest
 
 from ualgebra.algebras import FiniteAlgebra, check_homomorphism
-from ualgebra.equations import Equation, evaluate_with
+from ualgebra.equations import Equation, Theory, evaluate_with, parse_equation
 from ualgebra.errors import (
     CarrierMismatchError,
     FormatError,
     InvalidSymbolError,
     SignatureError,
     SignatureMismatchError,
+    UnknownSymbolError,
 )
-from ualgebra.oplist import check_indices, format_oplist, status_of
+from ualgebra.oplist import check_indices, format_oplist, parse_oplist, status_of
 from ualgebra.signature import Signature
+from ualgebra.syntax import parse_term
 from ualgebra.terms import Term
 
 from corpus import N2, NAT
@@ -93,6 +95,8 @@ NAT_X = NAT.extend_with_variables(1)
             lambda: Signature.from_json({"symbols": [{"name": "f", "arity": HUGE}]}),
             FormatError,
         ),
+        (lambda: NAT.arity(HUGE), InvalidSymbolError),
+        (lambda: NAT.symbol(-HUGE), InvalidSymbolError),
     ],
     ids=[
         "carrier",
@@ -106,10 +110,12 @@ NAT_X = NAT.extend_with_variables(1)
         "format_oplist",
         "Equation",
         "signature-from_json",
+        "arity",
+        "symbol",
     ],
 )
 def test_value_too_long_to_print_is_named_by_its_size(call, error):
-    # every message that shows a value goes through signature._shown
+    # every message that shows a value goes through errors._shown
     with pytest.raises(error) as info:
         call()
     assert f"integer of {HUGE.bit_length()} bits" in str(info.value)
@@ -135,6 +141,65 @@ SHOWN = "'" + "7" * 59 + "... (1000002 characters)"
 )
 def test_long_value_is_shown_as_a_prefix_and_its_length(call, message):
     with pytest.raises(FormatError) as info:
+        call()
+    assert str(info.value) == message
+
+
+LONG_SYMBOL = "OpSymbol('" + "7" * 50 + "... (1000021 characters)"
+X_IS_X = Equation(1, Term(NAT_X, (2,)), Term(NAT_X, (2,)))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda: Signature([(LONG, 0), (LONG, 0)]),
+            SignatureError,
+            f"duplicate symbol name: {SHOWN}",
+        ),
+        (
+            lambda: Signature.from_json({"symbols": [{"name": LONG, "arity": -1}]}),
+            FormatError,
+            f"bad arity for {SHOWN}: -1",
+        ),
+        (lambda: parse_term(NAT, LONG), UnknownSymbolError, f"unknown symbol {SHOWN} (at position 0)"),
+        (
+            lambda: parse_oplist(NAT, "z " + LONG),
+            UnknownSymbolError,
+            f"unknown symbol {SHOWN} (at position 1)",
+        ),
+        (lambda: NAT.symbol(LONG), InvalidSymbolError, f"no symbol named {SHOWN}"),
+        (lambda: NAT.arity(LONG), InvalidSymbolError, f"not a symbol index: {SHOWN}"),
+        (
+            lambda: NAT.arity(Signature([(LONG, 0)]).symbols[0]),
+            InvalidSymbolError,
+            f"{LONG_SYMBOL} belongs to a different signature",
+        ),
+        (
+            lambda: parse_equation(Signature([(LONG, 0)]), [LONG], LONG, LONG),
+            FormatError,
+            f"variable name {SHOWN} collides with a symbol name",
+        ),
+        (
+            lambda: Theory(LONG, (("e", X_IS_X), ("e", X_IS_X))),
+            FormatError,
+            f"duplicate equation labels in theory {SHOWN}",
+        ),
+    ],
+    ids=[
+        "duplicate-name",
+        "signature-from_json",
+        "parse_term",
+        "parse_oplist",
+        "symbol",
+        "arity",
+        "foreign-symbol",
+        "variable-collision",
+        "duplicate-label",
+    ],
+)
+def test_long_name_is_shown_as_a_prefix_and_its_length(call, error, message):
+    with pytest.raises(error) as info:
         call()
     assert str(info.value) == message
 
