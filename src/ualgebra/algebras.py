@@ -24,6 +24,8 @@ from .errors import (
     CarrierMismatchError,
     FormatError,
     SignatureMismatchError,
+    _capped,
+    _listed,
     _shown,
 )
 from .signature import OpSymbol, Signature
@@ -49,14 +51,15 @@ class FiniteAlgebra:
             )
         for sym in signature.symbols:
             table = tables[sym.index]
+            name = _capped(sym.name)
             want = _power_within(carrier_size, sym.arity, len(table))
             if want != len(table):
                 if want is None:
-                    want = f"{carrier_size}^{sym.arity}"
+                    want = f"{_shown(carrier_size)}^{_shown(sym.arity)}"
                 raise CarrierMismatchError(
-                    f"table for {sym.name} must have {want} entries, got {len(table)}"
+                    f"table for {name} must have {want} entries, got {len(table)}"
                 )
-            _check_elements(table, carrier_size, f"table for {sym.name} has entry")
+            _check_elements(table, carrier_size, f"table for {name} has entry")
         self.signature = signature
         self.carrier_size = carrier_size
         self.tables = tables
@@ -119,18 +122,20 @@ class FiniteAlgebra:
         tables = data["tables"]
         if not isinstance(tables, dict):
             raise FormatError('"tables" must map symbol names to arrays')
-        names = {name for name, _ in signature.entries()}
-        missing = names - set(tables)
-        extra = set(tables) - names
+        names = signature._by_name.keys()
+        missing = names - tables.keys()
+        extra = tables.keys() - names
         if missing:
-            raise FormatError(f"missing table(s) for: {', '.join(sorted(missing))}")
+            raise FormatError(f"missing table(s) for: {_listed(missing)}")
         if extra:
-            raise FormatError(f"table(s) for unknown symbol(s): {', '.join(sorted(extra))}")
+            raise FormatError(f"table(s) for unknown symbol(s): {_listed(extra)}")
         ordered = []
         for sym in signature.symbols:
             table = tables[sym.name]
             if not isinstance(table, list):
-                raise FormatError(f"table for {sym.name} must be an array of integers")
+                raise FormatError(
+                    f"table for {_capped(sym.name)} must be an array of integers"
+                )
             ordered.append(table)
         try:
             return cls(signature, carrier, ordered)
@@ -206,7 +211,7 @@ def check_homomorphism(
     mapping = tuple(mapping)
     if len(mapping) != source.carrier_size:
         raise CarrierMismatchError(
-            f"mapping must cover {source.carrier_size} elements, got {len(mapping)}"
+            f"mapping must cover {_shown(source.carrier_size)} elements, got {len(mapping)}"
         )
     _check_elements(
         mapping, target.carrier_size, "mapping value", "the target carrier"

@@ -113,7 +113,7 @@ def _parse_map(text: str, size: int) -> list[int]:
             raise FormatError(f"bad --map entry {_shown(piece)}, expected SRC:DST") from None
     if len(parts) != size or set(mapping) != set(range(size)):
         raise FormatError(
-            f"--map must assign each of 0..{size - 1} exactly once"
+            f"--map must assign each of 0..{_shown(size - 1)} exactly once"
         )
     return [mapping[x] for x in range(size)]
 

@@ -7,14 +7,16 @@ both sides of an equation are plain terms over the extended signature;
 mixed-radix lexicographic order with the leftmost variable most
 significant, which makes the reported counterexample the least one.  The
 sides written one after the other form an Ok(2) oplist, and one pass
-yields both values.  A scan's head (all of a space of at most 64) runs the
-scalar loop per assignment, variable i having the one-entry table
-(value,).  Then each band [size^k, size^(k+1)), and past 10^4 each aligned
-block of at most max(10^4, size), is one `fold` of each side in the power
-of the algebra over its assignments, whose elements are columns; a
-violation at assignment i costs O(size * i) evaluations.  A theory builds
-one extended signature per distinct variable list, which its equations
-with that list share.
+yields both values.  The scalar loop runs per assignment, variable i
+having the one-entry table (value,), over a whole space of at most 64
+assignments and over the head of a larger one: the least power c^w of the
+carrier size c with (c - 1) * c^w >= 64, which is 64 for c = 2 or 4, 81
+for 3, 25 for 5 and 49 for 7.  Then each band [size^k, size^(k+1)), and
+past 10^4 each aligned block of at most max(10^4, size), is one `fold` of
+each side in the power of the algebra over its assignments, whose
+elements are columns; a violation at assignment i costs O(size * i)
+evaluations.  A theory builds one extended signature per distinct
+variable list, which its equations with that list share.
 """
 
 from __future__ import annotations
@@ -196,7 +198,9 @@ def find_violation(
     size = algebra.carrier_size
     total = _power_within(size, n, budget)
     if total is None:
-        raise BudgetExceededError(f"{size}^{n} assignments exceed budget {budget}")
+        raise BudgetExceededError(
+            f"{_shown(size)}^{n} assignments exceed budget {_shown(budget)}"
+        )
     arities = equation.lhs.signature._arities
     tables = algebra.tables
     both = equation.lhs.ops + equation.rhs.ops  # status Ok(2)

@@ -1,24 +1,42 @@
 """Exception types shared across the package, and how a message shows a
 value."""
 
-# Longest repr of a non-int value that a message shows in full.
+# Longest repr that a message shows in full, and most names a list shows.
 _SHOWN_LIMIT = 60
+_LISTED_LIMIT = 5
 
 
 def _shown(value) -> str:
-    # repr, except for an int too long to print (Python refuses past 4300
-    # digits): then its size in bits; and a non-int whose repr is longer
-    # than _SHOWN_LIMIT shows its prefix and its length
+    # repr, except for an int whose repr is longer than _SHOWN_LIMIT (or
+    # past Python's 4300-digit limit, which repr refuses): then its size in
+    # bits; and a non-int whose repr is longer shows its prefix and length
     if not isinstance(value, int):
-        text = repr(value)
-        if len(text) > _SHOWN_LIMIT:
-            return f"{text[:_SHOWN_LIMIT]}... ({len(text)} characters)"
-        return text
+        return _capped(repr(value))
     try:
-        return repr(value)
+        text = repr(value)
     except ValueError:
-        article = "a negative" if value < 0 else "an"
-        return f"{article} integer of {value.bit_length()} bits"
+        text = None
+    if text is not None and len(text) <= _SHOWN_LIMIT:
+        return text
+    article = "a negative" if value < 0 else "an"
+    return f"{article} integer of {value.bit_length()} bits"
+
+
+def _capped(text: str) -> str:
+    # text, or when longer than _SHOWN_LIMIT its prefix and its length; an
+    # unquoted name goes through this alone
+    if len(text) > _SHOWN_LIMIT:
+        return f"{text[:_SHOWN_LIMIT]}... ({len(text)} characters)"
+    return text
+
+
+def _listed(names) -> str:
+    # the least _LISTED_LIMIT names, each capped, then how many more there are
+    names = sorted(names)
+    text = ", ".join(map(_capped, names[:_LISTED_LIMIT]))
+    if len(names) > _LISTED_LIMIT:
+        text += f" and {len(names) - _LISTED_LIMIT} more"
+    return text
 
 
 class UAlgebraError(Exception):
@@ -41,7 +59,7 @@ class ArityMismatchError(UAlgebraError):
     """A symbol was applied to the wrong number of arguments."""
 
     def __init__(self, name, expected, given, position=None):
-        msg = f"{name} expects {expected} argument(s), got {given}"
+        msg = f"{_capped(name)} expects {expected} argument(s), got {given}"
         if position is not None:
             msg += f" (at position {position})"
         super().__init__(msg)

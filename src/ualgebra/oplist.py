@@ -9,7 +9,7 @@ complete terms; a term proper is an oplist with status `Ok(1)`.
 
 from __future__ import annotations
 
-import itertools
+import operator
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -64,25 +64,19 @@ def status_of(signature: Signature, ops: Sequence[int]) -> Status:
 
     The scan goes right to left (prefix notation): at a symbol of arity a
     the counter must already hold at least a completed terms; they are
-    replaced by one.  The scan keeps no position; only an underflow
-    rescans to find it.
+    replaced by one.  At an underflow the symbols not yet scanned are
+    those left of it, so their count is its position.
     """
     ops = check_indices(signature, ops)
     arities = signature._arities
     k = 0
-    for op in reversed(ops):
+    scan = reversed(ops)
+    for op in scan:
         a = arities[op]
         if k < a:
-            return Error(UNDERFLOW, _underflow_position(arities, ops))
+            return Error(UNDERFLOW, operator.length_hint(scan))
         k += 1 - a
     return Ok(k)
-
-
-def _underflow_position(arities, ops) -> int:
-    # the rightmost i whose suffix ops[i:] leaves fewer than one term: there
-    # the counter held k < a, i.e. k + 1 - a < 1
-    counts = itertools.accumulate(1 - arities[op] for op in reversed(ops))
-    return len(ops) - 1 - next(j for j, k in enumerate(counts) if k < 1)
 
 
 def is_term(signature: Signature, ops: Sequence[int]) -> bool:
@@ -97,10 +91,12 @@ def split_terms(signature: Signature, ops: Sequence[int], n: int) -> list[tuple[
     term: scanning left to right, a term ends exactly where the count of
     still-needed arguments first reaches zero.
     """
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise StatusMismatchError(f"not a term count: {_shown(n)}")
     ops = tuple(ops)
     status = status_of(signature, ops)
     if status != Ok(n):
-        raise StatusMismatchError(f"expected status Ok({n}), got {status}")
+        raise StatusMismatchError(f"expected status Ok({_shown(n)}), got {status}")
     return _split_valid(signature, ops, n)
 
 

@@ -108,14 +108,16 @@ class Signature:
         return self._arities[ref]
 
     def symbol(self, ref) -> OpSymbol:
-        """Look a symbol up by index or by display name."""
+        """Look a symbol up by index or by display name.  One of this
+        signature's own OpSymbol objects is returned as it is; a foreign
+        one raises InvalidSymbolError."""
         if isinstance(ref, str):
             try:
                 return self.symbols[self._by_name[ref]]
             except KeyError:
                 raise InvalidSymbolError(f"no symbol named {_shown(ref)}") from None
-        self.arity(ref)  # range check
-        return self.symbols[ref]
+        self.arity(ref)  # range check, and a foreign OpSymbol raises
+        return ref if isinstance(ref, OpSymbol) else self.symbols[ref]
 
     def extend_with_variables(self, n: int) -> "Signature":
         """Append n fresh arity-0 variable symbols named x0..x(n-1).
@@ -123,8 +125,10 @@ class Signature:
         Existing symbols keep their indices.  A fresh name that collides
         with an existing one gets the first free `_k` suffix.
         """
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise SignatureError(f"not a variable count: {_shown(n)}")
         if n < 0:
-            raise SignatureError(f"negative variable count: {n}")
+            raise SignatureError(f"negative variable count: {_shown(n)}")
         if n == 0:
             return self
         used = set(self._by_name)
@@ -140,7 +144,9 @@ class Signature:
         return Signature(self._entries + tuple(fresh))
 
     def __eq__(self, other):
-        return isinstance(other, Signature) and self._entries == other._entries
+        return other is self or (
+            isinstance(other, Signature) and self._entries == other._entries
+        )
 
     def __hash__(self):
         return self._hash
@@ -179,5 +185,7 @@ class Signature:
             raise FormatError(str(exc)) from None
         for i, arity in enumerate(signature._arities):
             if arity > limit:
-                raise FormatError(f"symbol {i}: arity {_shown(arity)} exceeds limit {limit}")
+                raise FormatError(
+                    f"symbol {i}: arity {_shown(arity)} exceeds limit {_shown(limit)}"
+                )
         return signature

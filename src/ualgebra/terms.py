@@ -23,6 +23,7 @@ from .errors import (
     InvalidTermError,
     LimitExceededError,
     SignatureMismatchError,
+    _shown,
 )
 from .oplist import Ok, _split_valid, status_of
 from .signature import OpSymbol, Signature
@@ -94,7 +95,7 @@ def build_term(symbol: OpSymbol, children: Sequence[Term]) -> Term:
     for child in children:
         if child.signature != signature:
             raise SignatureMismatchError(
-                f"child {child!r} is over a different signature"
+                f"child {_shown(child)} is over a different signature"
             )
     ops = (symbol.index,) + tuple(itertools.chain.from_iterable(c.ops for c in children))
     return Term._wrap(signature, ops)
@@ -176,11 +177,14 @@ def enumerate_terms(
     The filter over all |signature|^n lists lives in the test suite as
     the correctness oracle.
     """
+    for what, count in (("max_len", max_len), ("limit", limit)):
+        if isinstance(count, bool) or not isinstance(count, int):
+            raise LimitExceededError(f"{what} must be an integer, got {_shown(count)}")
     if max_len < 0:
-        raise LimitExceededError(f"max_len must not be negative, got {max_len}")
+        raise LimitExceededError(f"max_len must not be negative, got {_shown(max_len)}")
     if max_len > limit:
         raise LimitExceededError(
-            f"max_len {max_len} exceeds enumeration limit {limit}"
+            f"max_len {_shown(max_len)} exceeds enumeration limit {_shown(limit)}"
         )
     symbols = tuple(enumerate(signature._arities))
     # a symbol of arity a lowers the count by a - 1, so with A the largest

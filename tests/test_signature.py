@@ -3,6 +3,7 @@ import pytest
 from ualgebra.algebras import FiniteAlgebra, check_homomorphism
 from ualgebra.equations import Equation, Theory, evaluate_with, parse_equation
 from ualgebra.errors import (
+    ArityMismatchError,
     CarrierMismatchError,
     FormatError,
     InvalidSymbolError,
@@ -13,7 +14,7 @@ from ualgebra.errors import (
 from ualgebra.oplist import check_indices, format_oplist, parse_oplist, status_of
 from ualgebra.signature import Signature
 from ualgebra.syntax import parse_term
-from ualgebra.terms import Term
+from ualgebra.terms import Term, build_term
 
 from corpus import N2, NAT
 
@@ -147,6 +148,11 @@ def test_long_value_is_shown_as_a_prefix_and_its_length(call, message):
 
 LONG_SYMBOL = "OpSymbol('" + "7" * 50 + "... (1000021 characters)"
 X_IS_X = Equation(1, Term(NAT_X, (2,)), Term(NAT_X, (2,)))
+# an unquoted name: its first 60 characters and its length
+UNQUOTED = "7" * 60 + "... (1000000 characters)"
+LONG_UNARY = Signature([(LONG, 1)])
+LONG_CONSTANT = Term(Signature([(LONG, 0)]), (0,))
+WIDE = Signature([("z", 0), ("s", 1)] + [(f"c{i}", 0) for i in range(2 ** 16 - 2)])
 
 
 @pytest.mark.parametrize(
@@ -185,6 +191,50 @@ X_IS_X = Equation(1, Term(NAT_X, (2,)), Term(NAT_X, (2,)))
             FormatError,
             f"duplicate equation labels in theory {SHOWN}",
         ),
+        (
+            lambda: build_term(NAT.symbol("s"), [LONG_CONSTANT]),
+            SignatureMismatchError,
+            "child Term('" + "7" * 54 + "... (1000008 characters) is over a different signature",
+        ),
+        (
+            lambda: FiniteAlgebra(LONG_UNARY, 1, [[0]]).apply(0, []),
+            ArityMismatchError,
+            f"{UNQUOTED} expects 1 argument(s), got 0",
+        ),
+        (
+            lambda: FiniteAlgebra(LONG_UNARY, 2, [[0]]),
+            CarrierMismatchError,
+            f"table for {UNQUOTED} must have 2^1 entries, got 1",
+        ),
+        (
+            lambda: FiniteAlgebra(LONG_UNARY, 1, [[5]]),
+            CarrierMismatchError,
+            f"table for {UNQUOTED} has entry 5 outside the carrier",
+        ),
+        (
+            lambda: FiniteAlgebra.from_json(LONG_UNARY, {"carrier": 1, "tables": {LONG: 0}}),
+            FormatError,
+            f"table for {UNQUOTED} must be an array of integers",
+        ),
+        (
+            lambda: FiniteAlgebra.from_json(WIDE, {"carrier": 1, "tables": {}}),
+            FormatError,
+            "missing table(s) for: c0, c1, c10, c100, c1000 and 65531 more",
+        ),
+        (
+            lambda: FiniteAlgebra.from_json(
+                NAT, {"carrier": 1, "tables": {name: [0] for name in WIDE._by_name}}
+            ),
+            FormatError,
+            "table(s) for unknown symbol(s): c0, c1, c10, c100, c1000 and 65529 more",
+        ),
+        (
+            lambda: FiniteAlgebra.from_json(
+                NAT, {"carrier": 1, "tables": {"z": [0], "s": [0], LONG: [0]}}
+            ),
+            FormatError,
+            f"table(s) for unknown symbol(s): {UNQUOTED}",
+        ),
     ],
     ids=[
         "duplicate-name",
@@ -196,6 +246,14 @@ X_IS_X = Equation(1, Term(NAT_X, (2,)), Term(NAT_X, (2,)))
         "foreign-symbol",
         "variable-collision",
         "duplicate-label",
+        "build_term-child",
+        "apply-arity",
+        "table-size",
+        "table-entry",
+        "from_json-table",
+        "from_json-missing",
+        "from_json-unknown",
+        "from_json-unknown-long",
     ],
 )
 def test_long_name_is_shown_as_a_prefix_and_its_length(call, error, message):
@@ -229,6 +287,20 @@ def test_malformed_entries_raise_as_before(entries, error, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "tables, message",
+    [
+        ({}, "missing table(s) for: s, z"),
+        ({"z": [0], "s": [0], "t": [0], "a": [0]}, "table(s) for unknown symbol(s): a, t"),
+    ],
+    ids=["missing", "unknown"],
+)
+def test_short_table_name_lists_read_in_full(tables, message):
+    with pytest.raises(FormatError) as info:
+        FiniteAlgebra.from_json(NAT, {"carrier": 1, "tables": tables})
+    assert str(info.value) == message
+
+
 def test_arity_out_of_range():
     with pytest.raises(InvalidSymbolError):
         NAT.arity(2)
@@ -249,6 +321,17 @@ def test_foreign_symbol_rejected():
     other = Signature([("z", 0), ("s", 1)])
     with pytest.raises(InvalidSymbolError):
         NAT.arity(other.symbol("s"))
+
+
+def test_symbol_returns_its_own_symbol():
+    assert NAT.symbol(NAT.symbols[1]) is NAT.symbols[1]
+
+
+def test_symbol_rejects_a_foreign_symbol():
+    other = Signature([("z", 0), ("s", 1)])
+    with pytest.raises(InvalidSymbolError) as info:
+        NAT.symbol(other.symbols[1])
+    assert str(info.value) == "OpSymbol('s', arity=1) belongs to a different signature"
 
 
 def test_structural_equality_of_signatures():

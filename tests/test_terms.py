@@ -1,3 +1,5 @@
+import timeit
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -6,8 +8,11 @@ from ualgebra.errors import (
     ArityMismatchError,
     InvalidTermError,
     LimitExceededError,
+    SignatureError,
     SignatureMismatchError,
+    StatusMismatchError,
 )
+from ualgebra.oplist import split_terms
 from ualgebra.signature import Signature
 from ualgebra.terms import (
     Term,
@@ -86,6 +91,18 @@ def test_build_arity_mismatch():
 def test_build_rejects_foreign_children():
     with pytest.raises(SignatureMismatchError):
         build_term(NAT.symbol("s"), [Term(BIN, (1,))])
+
+
+def test_build_cost_does_not_grow_with_the_signature():
+    # a signature equals itself without comparing its entries, so the
+    # per-child signature check costs the same over 2 or 2^16 symbols
+    def best_time(signature):
+        s = signature.symbol("s")
+        z = Term(signature, (signature.symbol("z").index,))
+        return min(timeit.repeat(lambda: build_term(s, [z]), number=100, repeat=5))
+
+    wide = Signature(NAT.entries() + tuple((f"c{i}", 0) for i in range(2 ** 16 - 2)))
+    assert best_time(wide) < 10 * best_time(NAT)
 
 
 def test_term_equality_and_hash():
@@ -227,6 +244,85 @@ def test_enumerate_agrees_with_filter_oracle_on_random_signatures(arities, max_l
     sig = Signature([(f"o{i}", a) for i, a in enumerate(arities)])
     got = [t.ops for t in enumerate_terms(sig, max_len)]
     assert got == oracles.enumerate_by_filter(sig, max_len)
+
+
+HUGE = 10 ** 5000
+HUGE_BITS = f"integer of {HUGE.bit_length()} bits"
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda: enumerate_terms(NAT, HUGE),
+            LimitExceededError,
+            f"max_len an {HUGE_BITS} exceeds enumeration limit 12",
+        ),
+        (
+            lambda: enumerate_terms(NAT, -HUGE),
+            LimitExceededError,
+            f"max_len must not be negative, got a negative {HUGE_BITS}",
+        ),
+        (
+            lambda: enumerate_terms(NAT, 5, limit=-HUGE),
+            LimitExceededError,
+            f"max_len 5 exceeds enumeration limit a negative {HUGE_BITS}",
+        ),
+        (
+            lambda: enumerate_terms(NAT, 2.5),
+            LimitExceededError,
+            "max_len must be an integer, got 2.5",
+        ),
+        (
+            lambda: enumerate_terms(NAT, "3"),
+            LimitExceededError,
+            "max_len must be an integer, got '3'",
+        ),
+        (
+            lambda: enumerate_terms(NAT, True),
+            LimitExceededError,
+            "max_len must be an integer, got True",
+        ),
+        (
+            lambda: enumerate_terms(NAT, 3, limit="12"),
+            LimitExceededError,
+            "limit must be an integer, got '12'",
+        ),
+        (
+            lambda: NAT.extend_with_variables(-HUGE),
+            SignatureError,
+            f"negative variable count: a negative {HUGE_BITS}",
+        ),
+        (lambda: NAT.extend_with_variables(1.5), SignatureError, "not a variable count: 1.5"),
+        (lambda: NAT.extend_with_variables(True), SignatureError, "not a variable count: True"),
+        (
+            lambda: split_terms(NAT, (Z,), HUGE),
+            StatusMismatchError,
+            f"expected status Ok(an {HUGE_BITS}), got Ok(terms=1)",
+        ),
+        (lambda: split_terms(NAT, (Z,), "1"), StatusMismatchError, "not a term count: '1'"),
+        (lambda: split_terms(NAT, (Z,), True), StatusMismatchError, "not a term count: True"),
+    ],
+    ids=[
+        "enumerate-huge",
+        "enumerate-huge-negative",
+        "enumerate-huge-negative-limit",
+        "enumerate-float",
+        "enumerate-str",
+        "enumerate-bool",
+        "enumerate-str-limit",
+        "extend-huge-negative",
+        "extend-float",
+        "extend-bool",
+        "split-huge",
+        "split-str",
+        "split-bool",
+    ],
+)
+def test_bad_count_is_rejected_by_the_error_of_its_call(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_enumerate_order_is_length_then_lex():
