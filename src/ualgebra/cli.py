@@ -15,7 +15,7 @@ import sys
 
 from .algebras import FiniteAlgebra, check_homomorphism
 from .equations import DEFAULT_BUDGET, Theory, check_model
-from .errors import FormatError, UAlgebraError, _shown
+from .errors import FormatError, UAlgebraError, _capped, _shown
 from .oplist import Ok, parse_oplist, status_of
 from .signature import SANITY_LIMIT, Signature
 from .syntax import parse_term
@@ -25,6 +25,10 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 
+# Longest argparse message shown in full: room for its own lists, such as
+# the subcommands or the missing options, but not for a long argument.
+_ARGPARSE_LIMIT = 200
+
 
 def _read_json(path: str):
     try:
@@ -33,7 +37,7 @@ def _read_json(path: str):
     except (ValueError, RecursionError) as exc:
         # ValueError covers bad JSON, bytes that are not UTF-8 and integers
         # past the interpreter's digit limit
-        raise FormatError(f"{path}: {exc}") from None
+        raise FormatError(f"{_capped(path)}: {exc}") from None
 
 
 def _signature(args) -> Signature:
@@ -185,8 +189,15 @@ def cmd_enum(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    # an argparse error is one bounded stderr line, without the usage lines
+    def error(self, message):
+        message = _capped(message, _ARGPARSE_LIMIT)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--sig", required=True, metavar="FILE", help="signature JSON file")
     common.add_argument("--json", action="store_true", help="emit a JSON report")
     common.add_argument(
@@ -197,10 +208,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="sanity cap on arity and symbol count in input files",
     )
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ua", description="universal algebra kernel over finite signatures"
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("check", parents=[common], help="validate oplists")
     p.add_argument(
@@ -259,7 +270,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        # argparse already printed usage; normalize --help's exit 0
+        # argparse already printed its error or help; normalize --help's exit 0
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         code = args.handler(args)
@@ -276,7 +287,11 @@ def main(argv=None) -> int:
         os.close(devnull)
         return EXIT_OK
     except OSError as exc:
-        print(f"ua: error: {exc}", file=sys.stderr)
+        message = str(exc)
+        if exc.filename is not None:
+            # what str(exc) gives, with a long path capped
+            message = f"[Errno {exc.errno}] {exc.strerror}: {_shown(exc.filename)}"
+        print(f"ua: error: {message}", file=sys.stderr)
         return EXIT_USAGE
 
 

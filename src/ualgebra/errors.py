@@ -22,11 +22,11 @@ def _shown(value) -> str:
     return f"{article} integer of {value.bit_length()} bits"
 
 
-def _capped(text: str) -> str:
-    # text, or when longer than _SHOWN_LIMIT its prefix and its length; an
+def _capped(text: str, limit: int = _SHOWN_LIMIT) -> str:
+    # text, or when longer than limit its prefix and its length; an
     # unquoted name goes through this alone
-    if len(text) > _SHOWN_LIMIT:
-        return f"{text[:_SHOWN_LIMIT]}... ({len(text)} characters)"
+    if len(text) > limit:
+        return f"{text[:limit]}... ({len(text)} characters)"
     return text
 
 

@@ -15,6 +15,7 @@ root and nothing owed (`_printed`).
 
 from __future__ import annotations
 
+import gc
 import itertools
 from typing import Callable, Sequence
 
@@ -176,6 +177,13 @@ def enumerate_terms(
     lists.  Taking symbols in index order keeps every list lexicographic.
     The filter over all |signature|^n lists lives in the test suite as
     the correctness oracle.
+
+    The cyclic garbage collector is paused while the lists are built, and
+    its prior state is restored on every exit.  The result holds no cycle
+    (a Term holds its signature and a tuple of ints), so the collections
+    its allocations would trigger, the older ones rescanning every Term
+    built so far, have nothing to free.  A later young-generation pass
+    still examines the new objects once.
     """
     for what, count in (("max_len", max_len), ("limit", limit)):
         if isinstance(count, bool) or not isinstance(count, int):
@@ -193,12 +201,18 @@ def enumerate_terms(
     drop = max(max(signature._arities, default=0) - 1, 0)
     forests = {0: [()]}  # status count -> oplists of the current length
     found = []
-    for m in range(1, max_len + 1):
-        forests = {
-            k: [(s,) + rest for s, a in symbols for rest in forests.get(k + a - 1, ())]
-            for k in range(1, min(m, 1 + (max_len - m) * drop) + 1)
-        }
-        found.extend(Term._wrap(signature, ops) for ops in forests[1])
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for m in range(1, max_len + 1):
+            forests = {
+                k: [(s,) + rest for s, a in symbols for rest in forests.get(k + a - 1, ())]
+                for k in range(1, min(m, 1 + (max_len - m) * drop) + 1)
+            }
+            found.extend(Term._wrap(signature, ops) for ops in forests[1])
+    finally:
+        if was_enabled:
+            gc.enable()
     return found
 
 

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -396,6 +397,82 @@ def test_max_arity_flag_rejects_signature(capsys):
 
 def test_usage_error_without_subcommand(capsys):
     assert run(capsys, "--nope")[0] == 2
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (
+            ["enum", "--sig", NAT, "--max-len", "2.5"],
+            "ua enum: error: argument --max-len: invalid int value: '2.5'\n",
+        ),
+        (
+            ["depth", "z"],
+            "ua depth: error: the following arguments are required: --sig\n",
+        ),
+        (
+            ["depth", "--sig", NAT, "--bogus", "z"],
+            "ua: error: unrecognized arguments: --bogus\n",
+        ),
+        (
+            ["hom", "--sig", NAT],
+            "ua hom: error: the following arguments are required: "
+            "--from, --to, --map\n",
+        ),
+    ],
+    ids=["bad-int", "missing-sig", "unknown-option", "missing-options"],
+)
+def test_argument_error_is_one_line_without_usage(capsys, argv, err):
+    assert run(capsys, *argv) == (2, "", err)
+
+
+def test_long_argument_gives_a_short_error_line(capsys):
+    value = "7" * 10 ** 5 + "x"
+    code, out, err = run(capsys, "enum", "--sig", NAT, "--max-len", value)
+    message = f"argument --max-len: invalid int value: '{value}'"
+    assert (code, out) == (2, "")
+    assert err == f"ua enum: error: {message[:200]}... ({len(message)} characters)\n"
+
+
+def test_help_still_prints_usage(capsys):
+    code, out, err = run(capsys, "enum", "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: ua enum [-h] --sig FILE")
+
+
+def test_long_missing_path_gives_a_short_error_line(capsys):
+    path = "a" * 10 ** 5
+    code, out, err = run(capsys, "depth", "--sig", path, "z")
+    assert (code, out) == (2, "")
+    assert err == (
+        f"ua: error: [Errno {errno.ENAMETOOLONG}] {os.strerror(errno.ENAMETOOLONG)}: "
+        f"'{path[:59]}... (100002 characters)\n"
+    )
+
+
+def test_long_path_to_bad_json_gives_a_short_error_line(capsys, tmp_path):
+    # the longest path the system opens is PATH_MAX (4096 on Linux), so
+    # nest 200-character directories up to about 4000 characters
+    folder = tmp_path
+    while len(str(folder)) < 3700:
+        folder = folder / ("d" * 200)
+    folder.mkdir(parents=True)
+    path = str(folder / "bad.json")
+    (folder / "bad.json").write_text("not json")
+    code, out, err = run(capsys, "depth", "--sig", path, "z")
+    assert (code, out) == (2, "")
+    assert err == (
+        f"ua: error: {path[:60]}... ({len(path)} characters): "
+        "Expecting value: line 1 column 1 (char 0)\n"
+    )
+
+
+def test_short_missing_path_reads_as_before(capsys):
+    assert run(capsys, "check", "--sig", "/nonexistent", "z") == (
+        2,
+        "",
+        "ua: error: [Errno 2] No such file or directory: '/nonexistent'\n",
+    )
 
 
 # ------------------------------------------------------------ real process

@@ -1,3 +1,4 @@
+import gc
 import timeit
 
 import pytest
@@ -342,6 +343,57 @@ def test_enumerate_limit():
     with pytest.raises(LimitExceededError):
         enumerate_terms(NAT, 13)
     assert len(enumerate_terms(NAT, 13, limit=13)) == 13
+
+
+# m/2 i/1 e/0 and three constants: 18 336 terms of length <= 8
+GROUP_ABC = Signature(
+    [("m", 2), ("i", 1), ("e", 0), ("a", 0), ("b", 0), ("c", 0)]
+)
+
+
+def test_enumerate_runs_no_collection():
+    # the list it builds holds no cycle, so no collection has work to do
+    assert gc.isenabled()
+    starts = []
+
+    def seen(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.callbacks.append(seen)
+    try:
+        found = enumerate_terms(GROUP_ABC, 8)
+    finally:
+        gc.callbacks.remove(seen)
+    assert len(found) == 18336
+    assert starts == []
+    assert gc.isenabled()
+
+
+def test_enumerate_leaves_a_disabled_collector_disabled():
+    gc.disable()
+    try:
+        assert len(enumerate_terms(GROUP_ABC, 5)) == 308
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def test_enumerate_enables_the_collector_again_when_it_raises(monkeypatch):
+    wrap = Term._wrap
+    calls = []
+
+    def failing(signature, ops):
+        calls.append(ops)
+        if len(calls) == 100:
+            raise MemoryError
+        return wrap(signature, ops)
+
+    monkeypatch.setattr(Term, "_wrap", failing)
+    with pytest.raises(MemoryError):
+        enumerate_terms(GROUP_ABC, 8)
+    assert len(calls) == 100
+    assert gc.isenabled()
 
 
 # ------------------------------------------------------------ printing
