@@ -16,7 +16,6 @@ arity-0 symbols, by one-entry tables holding their values.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import (
@@ -26,6 +25,7 @@ from .errors import (
     SignatureMismatchError,
     _capped,
     _listed,
+    _Record,
     _shown,
 )
 from .signature import OpSymbol, Signature
@@ -188,16 +188,18 @@ def _evaluate_ops(arities, tables, size, ops):
     return stack
 
 
-@dataclass(frozen=True)
-class HomViolation:
+class HomViolation(_Record):
     """A witness that a carrier map is not a homomorphism: mapping the
     source result (`lhs`) differs from the target operation applied to
     the mapped arguments (`rhs`)."""
 
-    symbol: OpSymbol
-    args: tuple[int, ...]
-    lhs: int
-    rhs: int
+    __slots__ = ("symbol", "args", "lhs", "rhs")
+
+    def __init__(self, symbol: OpSymbol, args: tuple[int, ...], lhs: int, rhs: int):
+        object.__setattr__(self, "symbol", symbol)
+        object.__setattr__(self, "args", args)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
 
 
 def check_homomorphism(

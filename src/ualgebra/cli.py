@@ -184,8 +184,7 @@ def cmd_enum(args) -> int:
             }
         )
     else:
-        for t in terms:
-            print(format_term(t))
+        sys.stdout.writelines(f"{format_term(t)}\n" for t in terms)
     return EXIT_OK
 
 

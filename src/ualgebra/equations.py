@@ -22,7 +22,6 @@ variable list, which its equations with that list share.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from operator import getitem
 from typing import Sequence
 
@@ -38,6 +37,7 @@ from .errors import (
     FormatError,
     SignatureError,
     SignatureMismatchError,
+    _Record,
     _shown,
 )
 from .signature import OpSymbol, Signature
@@ -54,19 +54,16 @@ _SCALAR_HEAD = 64
 _BLOCK_CAP = 10 ** 4
 
 
-@dataclass(frozen=True)
-class Equation:
+class Equation(_Record):
     """Two terms over a signature extended with `context_size` variables."""
 
-    context_size: int
-    lhs: Term
-    rhs: Term
+    __slots__ = ("context_size", "lhs", "rhs")
 
-    def __post_init__(self):
-        if self.lhs.signature != self.rhs.signature:
+    def __init__(self, context_size: int, lhs: Term, rhs: Term):
+        extended = lhs.signature
+        if extended != rhs.signature:
             raise SignatureMismatchError("equation sides are over different signatures")
-        extended = self.lhs.signature
-        n = self.context_size
+        n = context_size
         if isinstance(n, bool) or not isinstance(n, int) or not 0 <= n <= len(extended):
             raise SignatureMismatchError(
                 f"context size {_shown(n)} does not fit the signature"
@@ -74,6 +71,9 @@ class Equation:
         for _, arity in extended.entries()[len(extended) - n:]:
             if arity != 0:
                 raise SignatureMismatchError("variable symbols must have arity 0")
+        object.__setattr__(self, "context_size", context_size)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
 
     @property
     def base_size(self) -> int:
@@ -83,17 +83,17 @@ class Equation:
         return self.lhs.signature.symbols[self.base_size:]
 
 
-@dataclass(frozen=True)
-class Theory:
+class Theory(_Record):
     """A named sequence of labelled equations presenting a variety."""
 
-    name: str
-    equations: tuple[tuple[str, Equation], ...]
+    __slots__ = ("name", "equations")
 
-    def __post_init__(self):
-        labels = [label for label, _ in self.equations]
+    def __init__(self, name: str, equations: tuple[tuple[str, Equation], ...]):
+        labels = [label for label, _ in equations]
         if len(labels) != len(set(labels)):
-            raise FormatError(f"duplicate equation labels in theory {_shown(self.name)}")
+            raise FormatError(f"duplicate equation labels in theory {_shown(name)}")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "equations", equations)
 
     def to_json(self) -> dict:
         rows = []
@@ -282,13 +282,15 @@ def satisfies(
     return find_violation(algebra, equation, budget=budget) is None
 
 
-@dataclass(frozen=True)
-class ModelFailure:
+class ModelFailure(_Record):
     """First equation (in theory order) an algebra breaks, with the least
     violating assignment."""
 
-    label: str
-    assignment: tuple[int, ...]
+    __slots__ = ("label", "assignment")
+
+    def __init__(self, label: str, assignment: tuple[int, ...]):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "assignment", assignment)
 
 
 def check_model(

@@ -1,5 +1,7 @@
-"""Exception types shared across the package, and how a message shows a
-value."""
+"""Exception types shared across the package, how a message shows a
+value, and the base of the package's immutable records."""
+
+from operator import attrgetter
 
 # Longest repr that a message shows in full, and most names a list shows.
 _SHOWN_LIMIT = 60
@@ -37,6 +39,42 @@ def _listed(names) -> str:
     if len(names) > _LISTED_LIMIT:
         text += f" and {len(names) - _LISTED_LIMIT} more"
     return text
+
+
+class _Record:
+    """Base of a small immutable record.  A subclass names its fields in
+    `__slots__`, which is also its `__match_args__`, and sets them in its
+    own `__init__` through `object.__setattr__`.  Two records are equal
+    when they are of one class with equal fields, never across classes or
+    with a tuple; a record shows as `Name(field=value, ...)`, and pickles
+    and copies by calling its constructor again."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls.__match_args__ = cls.__slots__
+        cls._values = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, name) for name in self.__slots__)
 
 
 class UAlgebraError(Exception):

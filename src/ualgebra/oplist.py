@@ -10,30 +10,39 @@ complete terms; a term proper is an oplist with status `Ok(1)`.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .errors import InvalidSymbolError, StatusMismatchError, UnknownSymbolError, _shown
+from .errors import (
+    InvalidSymbolError,
+    StatusMismatchError,
+    UnknownSymbolError,
+    _Record,
+    _shown,
+)
 from .signature import Signature
 
 UNDERFLOW = "underflow"
 
 
-@dataclass(frozen=True)
-class Ok:
+class Ok(_Record):
     """The list builds exactly `terms` complete terms."""
 
-    terms: int
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: int):
+        object.__setattr__(self, "terms", terms)
 
 
-@dataclass(frozen=True)
-class Error:
+class Error(_Record):
     """The machine underflowed.  `position` is the 0-based index, counted
     left to right, of the symbol whose arguments were missing; everything
     to its right processed fine."""
 
-    kind: str
-    position: int
+    __slots__ = ("kind", "position")
+
+    def __init__(self, kind: str, position: int):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "position", position)
 
 
 Status = Union[Ok, Error]

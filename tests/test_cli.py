@@ -500,6 +500,28 @@ def test_package_runs_on_the_standard_library_alone():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"2\n", b"")
 
 
+def test_cli_import_leaves_out_dataclasses():
+    # dataclasses imports inspect, ast, dis and tokenize, which cost a cold
+    # `ua` process about as much as the package itself
+    src = Path(__file__).parent.parent / "src"
+    code = "import sys, ualgebra.cli; print('dataclasses' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"False\n", b"")
+
+
+def test_package_exports_every_public_name():
+    import ualgebra
+
+    namespace = {}
+    exec("from ualgebra import *", namespace)
+    assert set(ualgebra.__all__) <= set(namespace)
+    assert set(ualgebra.__all__) <= set(dir(ualgebra))
+
+
 def test_exit_codes_through_real_process():
     bad = subprocess.run(
         [sys.executable, "-m", "ualgebra", "check", "--sig", NAT, "z s"],

@@ -1,0 +1,186 @@
+"""The package's six immutable records: `Ok`, `Error`, `Equation`,
+`Theory`, `ModelFailure` and `HomViolation`.  Each compares by class and
+fields, hashes alike when equal, refuses assignment and deletion, shows a
+`Name(field=value, ...)` repr, matches positionally, and survives `pickle`
+and `copy.copy`."""
+
+import copy
+import pickle
+
+import pytest
+
+from ualgebra.algebras import FiniteAlgebra, HomViolation, check_homomorphism
+from ualgebra.equations import Equation, ModelFailure, Theory, parse_equation
+from ualgebra.errors import FormatError, SignatureMismatchError
+from ualgebra.oplist import UNDERFLOW, Error, Ok, status_of
+from ualgebra.signature import Signature
+from ualgebra.terms import Term
+
+XOR = Signature([("xor", 2), ("e", 0)])
+B2_XOR = FiniteAlgebra(XOR, 2, [[0, 1, 1, 0], [0]])
+
+
+def comm():
+    return parse_equation(XOR, ["x", "y"], "xor(x,y)", "xor(y,x)")
+
+
+def violation():
+    return check_homomorphism(B2_XOR, B2_XOR, [1, 1])
+
+
+# (name, build, fields, repr): build() gives a fresh record equal to the last
+RECORDS = [
+    ("Ok", lambda: Ok(1), {"terms": 1}, "Ok(terms=1)"),
+    (
+        "Error",
+        lambda: Error(UNDERFLOW, 3),
+        {"kind": "underflow", "position": 3},
+        "Error(kind='underflow', position=3)",
+    ),
+    (
+        "Equation",
+        comm,
+        {"context_size": 2, "lhs": comm().lhs, "rhs": comm().rhs},
+        "Equation(context_size=2, lhs=Term('xor(x,y)'), rhs=Term('xor(y,x)'))",
+    ),
+    (
+        "Theory",
+        lambda: Theory("t", (("comm", comm()),)),
+        {"name": "t", "equations": (("comm", comm()),)},
+        "Theory(name='t', equations=(('comm', Equation(context_size=2, "
+        "lhs=Term('xor(x,y)'), rhs=Term('xor(y,x)'))),))",
+    ),
+    (
+        "ModelFailure",
+        lambda: ModelFailure("comm", (0, 1)),
+        {"label": "comm", "assignment": (0, 1)},
+        "ModelFailure(label='comm', assignment=(0, 1))",
+    ),
+    (
+        "HomViolation",
+        violation,
+        {"symbol": XOR.symbols[0], "args": (0, 0), "lhs": 1, "rhs": 0},
+        "HomViolation(symbol=OpSymbol('xor', arity=2), args=(0, 0), lhs=1, rhs=0)",
+    ),
+]
+IDS = [name for name, *_ in RECORDS]
+
+
+@pytest.mark.parametrize("name, build, fields, text", RECORDS, ids=IDS)
+def test_equality_hash_and_repr(name, build, fields, text):
+    record = build()
+    assert record == build()
+    assert not record != build()
+    assert hash(record) == hash(build())
+    assert len({record, build()}) == 1
+    assert repr(record) == text
+    assert type(record).__name__ == name
+
+
+@pytest.mark.parametrize("name, build, fields, text", RECORDS, ids=IDS)
+def test_keyword_construction_and_match_args(name, build, fields, text):
+    record = build()
+    assert type(record)(**fields) == record
+    assert type(record)(*fields.values()) == record
+    assert type(record).__match_args__ == tuple(fields)
+    assert tuple(getattr(record, field) for field in fields) == tuple(fields.values())
+
+
+@pytest.mark.parametrize("name, build, fields, text", RECORDS, ids=IDS)
+def test_unequal_to_a_tuple_of_its_fields(name, build, fields, text):
+    record = build()
+    values = tuple(fields.values())
+    assert record != values
+    assert values != record
+    assert record != list(values)
+
+
+def test_records_of_two_classes_with_equal_fields_differ():
+    assert Error(UNDERFLOW, 3) != ModelFailure(UNDERFLOW, 3)
+    assert ModelFailure(UNDERFLOW, 3) != Error(UNDERFLOW, 3)
+    assert Ok(1) != Ok(2)
+    assert Ok(1) != 1
+    assert Error(UNDERFLOW, 3) != Error(UNDERFLOW, 4)
+
+
+@pytest.mark.parametrize("name, build, fields, text", RECORDS, ids=IDS)
+def test_assignment_and_deletion_raise(name, build, fields, text):
+    record = build()
+    for field, value in fields.items():
+        with pytest.raises(AttributeError):
+            setattr(record, field, value)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+        assert getattr(record, field) == value
+    with pytest.raises(AttributeError):
+        record.extra = 1
+
+
+@pytest.mark.parametrize("name, build, fields, text", RECORDS, ids=IDS)
+def test_pickle_and_copy_round_trip(name, build, fields, text):
+    record = build()
+    restored = pickle.loads(pickle.dumps(record))
+    assert type(restored) is type(record)
+    assert repr(restored) == text
+    if name == "HomViolation":
+        # an OpSymbol equals only a symbol of its own signature object,
+        # and unpickling makes a new, equal signature
+        assert restored.symbol.signature == XOR
+        assert (restored.args, restored.lhs, restored.rhs) == ((0, 0), 1, 0)
+    else:
+        assert restored == record
+        assert hash(restored) == hash(record)
+    duplicate = copy.copy(record)
+    assert type(duplicate) is type(record)
+    assert duplicate == record
+    assert repr(duplicate) == text
+
+
+def positional(record):
+    match record:
+        case Ok(1):
+            return "term"
+        case Ok(k):
+            return f"{k} terms"
+        case Error(kind, position):
+            return f"{kind} at {position}"
+        case Equation(n, lhs, rhs):
+            return n, str(lhs), str(rhs)
+        case Theory(name, equations):
+            return name, len(equations)
+        case ModelFailure(label, assignment):
+            return label, assignment
+        case HomViolation(symbol, (x, y), lhs, rhs):
+            return symbol.name, x, y, lhs, rhs
+    return None
+
+
+def test_positional_match():
+    assert positional(status_of(XOR, (0, 1, 1))) == "term"
+    assert positional(status_of(XOR, (1, 1))) == "2 terms"
+    assert positional(status_of(XOR, (0, 1))) == "underflow at 0"
+    assert positional(comm()) == (2, "xor(x,y)", "xor(y,x)")
+    assert positional(Theory("t", (("comm", comm()),))) == ("t", 1)
+    assert positional(ModelFailure("comm", (0, 1))) == ("comm", (0, 1))
+    assert positional(violation()) == ("xor", 0, 0, 1, 0)
+    assert positional((1,)) is None
+
+
+def test_constructor_errors_unchanged():
+    eq = comm()
+    x = Term(eq.lhs.signature, (2,))
+    with pytest.raises(SignatureMismatchError) as info:
+        Equation(1, x, Term(XOR, (1,)))
+    assert str(info.value) == "equation sides are over different signatures"
+    with pytest.raises(SignatureMismatchError) as info:
+        Equation(True, x, x)
+    assert str(info.value) == "context size True does not fit the signature"
+    with pytest.raises(SignatureMismatchError) as info:
+        Equation(4, x, x)
+    assert str(info.value) == "variable symbols must have arity 0"
+    with pytest.raises(FormatError) as info:
+        Theory("dup", (("a", eq), ("a", eq)))
+    assert str(info.value) == "duplicate equation labels in theory 'dup'"
+    with pytest.raises(FormatError) as info:
+        Theory("t", (("a", eq), ("a", eq), ("b", eq)))
+    assert str(info.value) == "duplicate equation labels in theory 't'"
