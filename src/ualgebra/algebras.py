@@ -11,6 +11,15 @@ value, and an equation's two sides written one after the other give both
 in one pass.  It knows nothing of variables: to evaluate under an
 assignment, `equations` extends the algebra to the variables, which are
 arity-0 symbols, by one-entry tables holding their values.
+
+`check_homomorphism` scans a table in argument order.  An algebra of at
+most 256 elements also keeps its tables as `bytes`, and when both carriers
+fit and the source has at least `_ROW_MIN` elements, the scan goes one row
+at a time: a row fixes every argument but the last, and both sides of the
+condition are computed for the whole row by `bytes.translate`, one C loop,
+and compared as bytes.  Below the gate the tuple loop stays, because each
+call then pays a fixed cost for the translate tables that short rows
+cannot win back.
 """
 
 from __future__ import annotations
@@ -32,10 +41,24 @@ from .signature import OpSymbol, Signature
 from .terms import Term
 
 
+# a carrier of at most this many elements keeps a copy of its tables as
+# bytes, one element per byte
+_BYTE_CARRIER = 256
+# the least source carrier that check_homomorphism scans by rows.  Measured
+# on Z_n -> Z_n/2 ring quotients (Python 3.11, 2 shared vCPUs, best of 3
+# runs; rows against the tuple loop): a full scan runs 2.2-2.7x faster at
+# n = 8, 3.4-3.7x at 12, 3.9-4.9x at 16 and 11-12x at 32; a violation at the
+# end of the first row 0.96-0.99x at 8, 0.98-1.04x at 12 and 1.09-1.12x at
+# 16; a violation at the first tuple costs 1.1-1.7 us more at every n, for
+# the translate tables.  16 is past the crossover and keeps the maps of a
+# search over all carrier maps (up to 8 elements) on the tuple loop
+_ROW_MIN = 16
+
+
 class FiniteAlgebra:
     """A finite carrier with one total operation table per symbol."""
 
-    __slots__ = ("signature", "carrier_size", "tables")
+    __slots__ = ("signature", "carrier_size", "tables", "_byte_tables")
 
     def __init__(self, signature: Signature, carrier_size: int, tables):
         if type(carrier_size) is bool or not (
@@ -63,6 +86,11 @@ class FiniteAlgebra:
         self.signature = signature
         self.carrier_size = carrier_size
         self.tables = tables
+        # the same tables as bytes, read only by `check_homomorphism`'s row
+        # path; a subscript of `tables` stays the faster one to evaluate with
+        self._byte_tables = (
+            tuple(map(bytes, tables)) if carrier_size <= _BYTE_CARRIER else None
+        )
 
     def apply(self, symbol, args: Sequence[int]) -> int:
         """Apply one operation table to a tuple of carrier elements."""
@@ -207,7 +235,16 @@ def check_homomorphism(
 ) -> HomViolation | None:
     """First (symbol index, then argument tuple, lexicographic) violation
     of the homomorphism condition, or None if the map commutes with every
-    operation."""
+    operation.
+
+    When the source has at least `_ROW_MIN` elements and both carriers at
+    most 256, a symbol of arity a >= 1 is checked a row at a time: for each
+    prefix of a - 1 arguments, the source row mapped through `mapping` is
+    compared, as bytes, with the target row of the mapped prefix read at
+    the mapped last arguments.  The first differing entry of the first
+    differing row is the same least violation that the tuple loop finds.
+    Smaller sources and larger carriers take the tuple loop, which is
+    cheaper to start (see `_ROW_MIN`)."""
     if source.signature != target.signature:
         raise SignatureMismatchError("algebras are over different signatures")
     mapping = tuple(mapping)
@@ -220,6 +257,12 @@ def check_homomorphism(
     )
     s_size = source.carrier_size
     t_size = target.carrier_size
+    if (
+        s_size >= _ROW_MIN
+        and source._byte_tables is not None
+        and target._byte_tables is not None
+    ):
+        return _first_violation_by_rows(source, target, mapping)
     for sym in source.signature.symbols:
         t_table = target.tables[sym.index]
         # the source table is row-major, so it lists its entries in the
@@ -233,6 +276,41 @@ def check_homomorphism(
             rhs = t_table[t_index]
             if lhs != rhs:
                 return HomViolation(sym, args, lhs, rhs)
+    return None
+
+
+def _first_violation_by_rows(source, target, mapping):
+    # the row scan of check_homomorphism.  `image` sends a source element
+    # to its image; a target row padded by `pad` sends a target element to
+    # the row's entry there, so translating `mapped` through it reads the
+    # row at the images of the whole source carrier
+    s_size = source.carrier_size
+    t_size = target.carrier_size
+    mapped = bytes(mapping)
+    image = mapped.ljust(256, b"\0")
+    pad = bytes(256 - t_size)
+    for sym in source.signature.symbols:
+        s_bytes = source._byte_tables[sym.index]
+        t_bytes = target._byte_tables[sym.index]
+        if not sym.arity:
+            lhs = mapping[s_bytes[0]]
+            if lhs != t_bytes[0]:
+                return HomViolation(sym, (), lhs, t_bytes[0])
+            continue
+        start = 0
+        for prefix in itertools.product(range(s_size), repeat=sym.arity - 1):
+            k = 0
+            for x in prefix:
+                k = k * t_size + mapping[x]
+            k *= t_size  # the target row of the mapped prefix
+            lhs = s_bytes[start : start + s_size].translate(image)
+            rhs = mapped.translate(t_bytes[k : k + t_size] + pad)
+            if lhs != rhs:
+                j = 0
+                while lhs[j] == rhs[j]:
+                    j += 1
+                return HomViolation(sym, prefix + (j,), lhs[j], rhs[j])
+            start += s_size
     return None
 
 

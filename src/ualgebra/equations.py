@@ -89,6 +89,9 @@ class Theory(_Record):
     __slots__ = ("name", "equations")
 
     def __init__(self, name: str, equations: tuple[tuple[str, Equation], ...]):
+        # a tuple, so a generator is not used up by the label check and a
+        # list does not leave the theory unhashable
+        equations = tuple(equations)
         labels = [label for label, _ in equations]
         if len(labels) != len(set(labels)):
             raise FormatError(f"duplicate equation labels in theory {_shown(name)}")
@@ -131,7 +134,7 @@ class Theory(_Record):
                 raise FormatError(f'equation {i}: "label", "lhs" and "rhs" must be strings')
             eq = _parse_with(signature, tuple(row["vars"]), row["lhs"], row["rhs"], seen)
             equations.append((row["label"], eq))
-        return cls(name, tuple(equations))
+        return cls(name, equations)
 
 
 def parse_equation(

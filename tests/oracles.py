@@ -125,6 +125,24 @@ def least_violation(algebra, equation):
     return min(violations, default=None)
 
 
+def least_hom_violation(source, target, mapping):
+    """(symbol, args, lhs, rhs) of the least tuple, by symbol index and
+    then lexicographically, at which mapping fails to commute with an
+    operation; None for a homomorphism.  A plain scan of every argument
+    tuple that reads the tables directly and calls nothing in `algebras`."""
+    s_size, t_size = source.carrier_size, target.carrier_size
+    for sym in source.signature.symbols:
+        for row, args in enumerate(itertools.product(range(s_size), repeat=sym.arity)):
+            t_index = 0
+            for i, x in enumerate(args):
+                t_index += mapping[x] * t_size ** (sym.arity - 1 - i)
+            lhs = mapping[source.tables[sym.index][row]]
+            rhs = target.tables[sym.index][t_index]
+            if lhs != rhs:
+                return sym, args, lhs, rhs
+    return None
+
+
 def all_oplists(signature, max_len):
     """Every index sequence of length <= max_len, shortest first."""
     n = len(signature)

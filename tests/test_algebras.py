@@ -1,10 +1,19 @@
+import copy
+import itertools
 import json
+import pickle
+import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ualgebra.algebras import FiniteAlgebra, check_homomorphism, is_homomorphism
+from ualgebra.algebras import (
+    _ROW_MIN,
+    FiniteAlgebra,
+    check_homomorphism,
+    is_homomorphism,
+)
 from ualgebra.errors import CarrierMismatchError, FormatError, SignatureMismatchError
 from ualgebra.signature import Signature
 from ualgebra.terms import Term, build_term, destructure, enumerate_terms, fold
@@ -192,6 +201,181 @@ def test_mapping_validation():
 def test_mapping_rejects_bool():
     with pytest.raises(CarrierMismatchError, match="mapping value"):
         check_homomorphism(N4, N2, [False, True, False, True])
+
+
+# ------------------------------------------------------------ row path
+# check_homomorphism scans by rows when the source has at least _ROW_MIN
+# elements and both carriers at most 256; these cases sit on both sides of
+# each bound and are checked against oracles.least_hom_violation
+
+# every arity 0-3; constants and ternary between the others, so a planted
+# violation can sit behind a full scan of an earlier symbol
+MIXED = Signature([("b", 2), ("c", 0), ("t", 3), ("u", 1)])
+# at most binary, for carriers of 256 and more
+NARROW = Signature([("b", 2), ("c", 0), ("u", 1)])
+
+# both sides of the gate, with every arity where the tables stay small
+GATE_SHAPES = [
+    (MIXED, _ROW_MIN - 1, 2),
+    (MIXED, _ROW_MIN, 2),
+    (NARROW, _ROW_MIN - 1, 256),
+    (NARROW, _ROW_MIN, 256),
+    (NARROW, _ROW_MIN, 257),
+]
+# both sides of the byte bound, source and target
+BYTE_SHAPES = [
+    (NARROW, 256, 2),
+    (NARROW, 256, 256),
+    (NARROW, 256, 257),
+    (NARROW, 257, 2),
+]
+
+
+def hom_case(rng, sig, s_size, t_size):
+    """Two random algebras over sig and a homomorphism between them: a
+    surjection, with each source entry a preimage of the target's entry,
+    when the source is at least as large; otherwise an injection, with the
+    target's entries at mapped tuples set from the source."""
+
+    def row_major(mapping, args):
+        index = 0
+        for x in args:
+            index = index * t_size + mapping[x]
+        return index
+
+    shapes = [(sym, list(itertools.product(range(s_size), repeat=sym.arity)))
+              for sym in sig.symbols]
+    target = [rng.choices(range(t_size), k=t_size ** sym.arity) for sym in sig.symbols]
+    if s_size >= t_size:
+        mapping = list(range(t_size)) + [rng.randrange(t_size) for _ in range(s_size - t_size)]
+        rng.shuffle(mapping)
+        preimages = [[] for _ in range(t_size)]
+        for x, y in enumerate(mapping):
+            preimages[y].append(x)
+        source = [[rng.choice(preimages[target[sym.index][row_major(mapping, args)]])
+                   for args in tuples] for sym, tuples in shapes]
+    else:
+        mapping = rng.sample(range(t_size), s_size)
+        source = [rng.choices(range(s_size), k=len(tuples)) for _, tuples in shapes]
+        for sym, tuples in shapes:
+            for args, value in zip(tuples, source[sym.index]):
+                target[sym.index][row_major(mapping, args)] = mapping[value]
+    return source, target, mapping
+
+
+def position(choice, count):
+    return {"first": 0, "last": count - 1}.get(choice, choice) % count
+
+
+PLANT = st.tuples(
+    st.sampled_from("bctu"),
+    st.one_of(st.sampled_from(["first", "last"]), st.integers(0, 2 ** 16)),
+    st.one_of(st.sampled_from(["first", "last"]), st.integers(0, 2 ** 16)),
+)
+
+
+# planted violations, each reported by one example: the constant, the
+# first and the last entry of the first and of the last row, and a ternary
+# row; a second plant sits behind the first
+PLANTED = [
+    [],
+    [("c", "first", "first")],
+    [("b", "first", "first")],
+    [("b", "first", "last")],
+    [("b", "last", "first")],
+    [("b", "last", "last"), ("u", "first", "last")],
+    [("t", "last", "last"), ("u", "first", "first")],
+]
+
+
+def with_planted_examples(test):
+    for seed, plants in enumerate(PLANTED):
+        test = example(seed=seed, plants=plants)(test)
+    return test
+
+
+@pytest.mark.parametrize(
+    "sig, s_size, t_size", GATE_SHAPES, ids=[f"{s}to{t}" for _, s, t in GATE_SHAPES]
+)
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), plants=st.lists(PLANT, max_size=2))
+@with_planted_examples
+def test_row_path_around_the_gate(sig, s_size, t_size, seed, plants):
+    check_least_violation(sig, s_size, t_size, seed, plants)
+
+
+@pytest.mark.parametrize(
+    "sig, s_size, t_size", BYTE_SHAPES, ids=[f"{s}to{t}" for _, s, t in BYTE_SHAPES]
+)
+@settings(max_examples=2, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), plants=st.lists(PLANT, max_size=2))
+@with_planted_examples
+def test_row_path_around_the_byte_bound(sig, s_size, t_size, seed, plants):
+    check_least_violation(sig, s_size, t_size, seed, plants)
+
+
+def check_least_violation(sig, s_size, t_size, seed, plants):
+    """The whole HomViolation, not only the verdict, equals the oracle's,
+    for a homomorphism and for the same map broken at planted entries."""
+    rng = random.Random(seed)
+    source, target, mapping = hom_case(rng, sig, s_size, t_size)
+    plants = [p for p in plants if p[0] in {sym.name for sym in sig.symbols}]
+    unbroken = [tuple(table) for table in source]
+    for name, row, col in plants:
+        sym = sig.symbol(name)
+        table = source[sym.index]
+        width = s_size if sym.arity else 1
+        i = position(row, len(table) // width) * width + position(col, width)
+        # a value whose image differs from that of the homomorphism's
+        # entry, so mapping breaks at entry i, also when two plants meet
+        kept = mapping[unbroken[sym.index][i]]
+        table[i] = next(x for x in rng.sample(range(s_size), s_size) if mapping[x] != kept)
+    src = FiniteAlgebra(sig, s_size, source)
+    dst = FiniteAlgebra(sig, t_size, target)
+    got = check_homomorphism(src, dst, mapping)
+    want = oracles.least_hom_violation(src, dst, mapping)
+    if want is None:
+        assert got is None
+        assert not plants
+    else:
+        assert (got.symbol, got.args, got.lhs, got.rhs) == want
+
+
+# ------------------------------------------------------------ representation
+
+def test_tables_from_lists_and_from_tuples_make_one_algebra():
+    tables = [[(2 * x + y) % 3 for x in range(3) for y in range(3)], [1], [2]]
+    from_lists = FiniteAlgebra(BIN, 3, tables)
+    from_tuples = FiniteAlgebra(BIN, 3, tuple(tuple(t) for t in tables))
+    assert from_lists == from_tuples == BIN_MOD3
+    assert hash(from_lists) == hash(from_tuples) == hash(BIN_MOD3)
+    assert repr(from_lists) == repr(from_tuples) == f"FiniteAlgebra(carrier=3, over {BIN!r})"
+    assert from_lists.to_json() == from_tuples.to_json()
+    assert type(from_lists.tables) is tuple
+    assert all(type(t) is tuple for t in from_lists.tables)
+    assert {from_lists, from_tuples} == {BIN_MOD3}
+    for copied in (pickle.loads(pickle.dumps(from_lists)), copy.copy(from_lists),
+                   copy.deepcopy(from_lists)):
+        assert copied == from_lists and hash(copied) == hash(from_lists)
+        assert copied._byte_tables == from_lists._byte_tables
+        assert copied.to_json() == from_lists.to_json()
+        assert repr(copied) == repr(from_lists)
+
+
+@pytest.mark.parametrize("size, byte_tables", [(256, True), (257, False)])
+def test_byte_tables_only_up_to_256_elements(size, byte_tables):
+    """Above 256 elements there is no byte copy, and the tuple loop still
+    decides the homomorphism condition."""
+    sig = Signature([("s", 1), ("z", 0)])
+    alg = FiniteAlgebra(sig, size, [[(x + 1) % size for x in range(size)], [0]])
+    assert (alg._byte_tables is not None) is byte_tables
+    if byte_tables:
+        assert alg._byte_tables == tuple(bytes(t) for t in alg.tables)
+    assert check_homomorphism(alg, alg, range(size)) is None
+    shifted = [(x + 1) % size for x in range(size)]
+    violation = check_homomorphism(alg, alg, shifted)
+    assert (violation.symbol.name, violation.args) == ("z", ())
+    assert (violation.lhs, violation.rhs) == (1, 0)
 
 
 # ------------------------------------------------------------ JSON form

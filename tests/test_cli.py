@@ -24,6 +24,11 @@ PROJ_THEORY = str(DATA / "proj_theory.json")
 # laws of 7 and 8 variables: 2^7 and 2^8 assignments, past the scalar head
 XOR_WIDE_THEORY = str(DATA / "xor_wide_theory.json")
 PROJ_WIDE_THEORY = str(DATA / "proj_wide_theory.json")
+# Z16 -> Z4 over m/2 i/1 e/0: a source large enough for the row path
+GRP = str(DATA / "grp_sig.json")
+Z16 = str(DATA / "z16.json")
+Z4 = str(DATA / "z4.json")
+MOD4 = ",".join(f"{x}:{x % 4}" for x in range(16))
 
 
 def run(capsys, *argv):
@@ -146,6 +151,27 @@ def test_hom_counterexample(capsys):
         1,
         "counterexample: s(0): 0 != 1\n",
     )
+
+
+def test_hom_ok_by_rows(capsys):
+    assert_golden(
+        capsys, ["hom", "--sig", GRP, "--from", Z16, "--to", Z4, "--map", MOD4], 0, "ok\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "changed, out",
+    [
+        ("0:1", "counterexample: m(0,0): 1 != 2\n"),
+        ("15:0", "counterexample: m(1,14): 0 != 3\n"),
+    ],
+    ids=["first-entry", "second-row"],
+)
+def test_hom_counterexample_by_rows(capsys, changed, out):
+    src = changed.split(":")[0]
+    entries = [changed if e.split(":")[0] == src else e for e in MOD4.split(",")]
+    argv = ["hom", "--sig", GRP, "--from", Z16, "--to", Z4, "--map", ",".join(entries)]
+    assert_golden(capsys, argv, 1, out)
 
 
 def test_hom_json(capsys):

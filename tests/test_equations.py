@@ -374,6 +374,24 @@ def test_model_of_concatenation_is_conjunction():
         )
 
 
+def test_theory_keeps_its_equations_however_they_are_given():
+    """A generator is not used up by the label check, and a list leaves
+    the theory hashable: each behaves as the tuple it holds."""
+    idem = parse_equation(XOR, ["x"], "xor(x,x)", "x")
+    rows = (("comm", XOR_THEORY.equations[0][1]), ("idem", idem))
+    from_tuple = Theory("t", rows)
+    from_list = Theory("t", list(rows))
+    from_generator = Theory("t", (row for row in rows))
+    failure = check_model(B2_XOR, from_tuple)
+    assert (failure.label, failure.assignment) == ("idem", (1,))
+    for theory in (from_list, from_generator):
+        assert type(theory.equations) is tuple
+        assert theory == from_tuple
+        assert hash(theory) == hash(from_tuple)
+        assert check_model(B2_XOR, theory) == failure
+        assert theory.to_json() == from_tuple.to_json()
+
+
 def test_duplicate_labels_rejected():
     eq = XOR_THEORY.equations[0][1]
     with pytest.raises(FormatError):
