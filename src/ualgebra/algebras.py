@@ -12,13 +12,14 @@ in one pass.  It knows nothing of variables: to evaluate under an
 assignment, `equations` extends the algebra to the variables, which are
 arity-0 symbols, by one-entry tables holding their values.
 
-`check_homomorphism` scans a table in argument order.  An algebra of at
-most 256 elements also keeps its tables as `bytes`, and when both carriers
-fit and the source has at least `_ROW_MIN` elements, the scan goes one row
-at a time: a row fixes every argument but the last, and both sides of the
-condition are computed for the whole row by `bytes.translate`, one C loop,
-and compared as bytes.  Below the gate the tuple loop stays, because each
-call then pays a fixed cost for the translate tables that short rows
+`check_homomorphism` scans each table once, one row at a time: a row fixes
+every argument but the last, and the target row of its mapped prefix is
+found once.  A row is compared entry by entry up to its first difference.
+An algebra of at most 256 elements also keeps its tables as `bytes`, and
+when both carriers fit and the source has at least `_ROW_MIN` elements, a
+row is first compared whole, mapped by `bytes.translate` in one C loop; only
+a row that differs is then read entry by entry.  The gate exists because
+each call pays a fixed cost for the translate tables that short rows
 cannot win back.
 """
 
@@ -44,14 +45,16 @@ from .terms import Term
 # a carrier of at most this many elements keeps a copy of its tables as
 # bytes, one element per byte
 _BYTE_CARRIER = 256
-# the least source carrier that check_homomorphism scans by rows.  Measured
-# on Z_n -> Z_n/2 ring quotients (Python 3.11, 2 shared vCPUs, best of 3
-# runs; rows against the tuple loop): a full scan runs 2.2-2.7x faster at
-# n = 8, 3.4-3.7x at 12, 3.9-4.9x at 16 and 11-12x at 32; a violation at the
-# end of the first row 0.96-0.99x at 8, 0.98-1.04x at 12 and 1.09-1.12x at
-# 16; a violation at the first tuple costs 1.1-1.7 us more at every n, for
-# the translate tables.  16 is past the crossover and keeps the maps of a
-# search over all carrier maps (up to 8 elements) on the tuple loop
+# the least source carrier whose rows check_homomorphism compares as bytes.
+# Measured on Z_n -> Z_n/2 ring quotients (Python 3.11, 2 shared vCPUs, best
+# of 5, three rounds), as the speed of the bytes compare over the entry
+# compare: a full scan 1.4-1.6x at n = 8, 1.8-2.0x at 12, 2.5x at 16 (125
+# against 315 us) and 4.1-4.3x at 32; a violation at the first tuple of the
+# binary m 0.79-0.94x at 8, 0.85-1.14x at 12, 0.97-1.0x at 16 and
+# 1.06-1.13x at 32; one at the end of m's first row 0.59-0.85x, 0.82-0.98x,
+# 0.92-0.97x and 0.99-1.26x (about 6 us either way at 16).  So full scans
+# gain from 8 up, early exits only from about 32; 16 keeps the maps of a
+# search over all carrier maps (up to 8 elements) on the entry compare
 _ROW_MIN = 16
 
 
@@ -86,8 +89,8 @@ class FiniteAlgebra:
         self.signature = signature
         self.carrier_size = carrier_size
         self.tables = tables
-        # the same tables as bytes, read only by `check_homomorphism`'s row
-        # path; a subscript of `tables` stays the faster one to evaluate with
+        # the same tables as bytes, read only by `check_homomorphism`'s bytes
+        # compare; a subscript of `tables` stays the faster one to evaluate with
         self._byte_tables = (
             tuple(map(bytes, tables)) if carrier_size <= _BYTE_CARRIER else None
         )
@@ -237,14 +240,16 @@ def check_homomorphism(
     of the homomorphism condition, or None if the map commutes with every
     operation.
 
-    When the source has at least `_ROW_MIN` elements and both carriers at
-    most 256, a symbol of arity a >= 1 is checked a row at a time: for each
-    prefix of a - 1 arguments, the source row mapped through `mapping` is
-    compared, as bytes, with the target row of the mapped prefix read at
-    the mapped last arguments.  The first differing entry of the first
-    differing row is the same least violation that the tuple loop finds.
-    Smaller sources and larger carriers take the tuple loop, which is
-    cheaper to start (see `_ROW_MIN`)."""
+    One loop over rows: a row of a symbol of arity a >= 1 fixes its first
+    a - 1 arguments, and its target row, at the mapped prefix, is found once.
+    The row is then compared entry by entry, source entry mapped against
+    the target row read at the mapped last argument, up to the first
+    difference.  When the source has at least `_ROW_MIN` elements and both
+    carriers at most 256, the whole row is first compared as bytes, mapped
+    by `bytes.translate`, and only a row that differs is read entry by
+    entry.  The gate keeps small sources off the bytes compare, whose
+    translate tables cost each call more than short rows win back (see
+    `_ROW_MIN`)."""
     if source.signature != target.signature:
         raise SignatureMismatchError("algebras are over different signatures")
     mapping = tuple(mapping)
@@ -257,45 +262,30 @@ def check_homomorphism(
     )
     s_size = source.carrier_size
     t_size = target.carrier_size
-    if (
+    s_tables = source.tables
+    t_tables = target.tables
+    by_bytes = (
         s_size >= _ROW_MIN
         and source._byte_tables is not None
         and target._byte_tables is not None
-    ):
-        return _first_violation_by_rows(source, target, mapping)
+    )
+    if by_bytes:
+        # `image` sends a source element to its image; a target row padded
+        # by `pad` sends a target element to the row's entry there, so
+        # translating `mapped` through it reads the row at the images of
+        # the whole source carrier
+        s_tables = source._byte_tables
+        t_tables = target._byte_tables
+        mapped = bytes(mapping)
+        image = mapped.ljust(256, b"\0")
+        pad = bytes(256 - t_size)
     for sym in source.signature.symbols:
-        t_table = target.tables[sym.index]
-        # the source table is row-major, so it lists its entries in the
-        # order that product yields the argument tuples
-        tuples = itertools.product(range(s_size), repeat=sym.arity)
-        for args, value in zip(tuples, source.tables[sym.index]):
-            t_index = 0
-            for x in args:
-                t_index = t_index * t_size + mapping[x]
-            lhs = mapping[value]
-            rhs = t_table[t_index]
-            if lhs != rhs:
-                return HomViolation(sym, args, lhs, rhs)
-    return None
-
-
-def _first_violation_by_rows(source, target, mapping):
-    # the row scan of check_homomorphism.  `image` sends a source element
-    # to its image; a target row padded by `pad` sends a target element to
-    # the row's entry there, so translating `mapped` through it reads the
-    # row at the images of the whole source carrier
-    s_size = source.carrier_size
-    t_size = target.carrier_size
-    mapped = bytes(mapping)
-    image = mapped.ljust(256, b"\0")
-    pad = bytes(256 - t_size)
-    for sym in source.signature.symbols:
-        s_bytes = source._byte_tables[sym.index]
-        t_bytes = target._byte_tables[sym.index]
+        s_table = s_tables[sym.index]
+        t_table = t_tables[sym.index]
         if not sym.arity:
-            lhs = mapping[s_bytes[0]]
-            if lhs != t_bytes[0]:
-                return HomViolation(sym, (), lhs, t_bytes[0])
+            lhs = mapping[s_table[0]]
+            if lhs != t_table[0]:
+                return HomViolation(sym, (), lhs, t_table[0])
             continue
         start = 0
         for prefix in itertools.product(range(s_size), repeat=sym.arity - 1):
@@ -303,13 +293,16 @@ def _first_violation_by_rows(source, target, mapping):
             for x in prefix:
                 k = k * t_size + mapping[x]
             k *= t_size  # the target row of the mapped prefix
-            lhs = s_bytes[start : start + s_size].translate(image)
-            rhs = mapped.translate(t_bytes[k : k + t_size] + pad)
-            if lhs != rhs:
-                j = 0
-                while lhs[j] == rhs[j]:
-                    j += 1
-                return HomViolation(sym, prefix + (j,), lhs[j], rhs[j])
+            if not by_bytes or (
+                s_table[start : start + s_size].translate(image)
+                != mapped.translate(t_table[k : k + t_size] + pad)
+            ):
+                # read up to the first difference; a bytes subscript is an int
+                for j in range(s_size):
+                    lhs = mapping[s_table[start + j]]
+                    rhs = t_table[k + mapping[j]]
+                    if lhs != rhs:
+                        return HomViolation(sym, prefix + (j,), lhs, rhs)
             start += s_size
     return None
 

@@ -241,8 +241,6 @@ def _scan_columns(tables, size, n, equation, start, total):
         if not args:
             return columns[op - base] if op >= base else [tables[op][0]] * length
         table = tables[op]
-        if len(args) == 1:
-            return list(map(table.__getitem__, args[0]))
         if len(args) == 2:
             if op not in rows:
                 rows[op] = [table[i:i + size] for i in range(0, size * size, size)]

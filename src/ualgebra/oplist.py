@@ -54,9 +54,11 @@ def check_indices(signature: Signature, ops) -> tuple[int, ...]:
     ops = ops if isinstance(ops, tuple) else tuple(ops)
     if ops:
         n = len(signature)
-        # min/max run at C speed; locate the offender only on failure
+        # sum, min and max run at C speed, and an index that is not an int,
+        # such as 1.0 or Fraction(1), leaves a sum that is not an int either;
+        # locate the offender only on failure
         try:
-            fine = 0 <= min(ops) and max(ops) < n
+            fine = type(sum(ops)) is int and 0 <= min(ops) and max(ops) < n
         except TypeError:
             fine = False
         if not fine:

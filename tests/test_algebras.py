@@ -203,10 +203,12 @@ def test_mapping_rejects_bool():
         check_homomorphism(N4, N2, [False, True, False, True])
 
 
-# ------------------------------------------------------------ row path
-# check_homomorphism scans by rows when the source has at least _ROW_MIN
-# elements and both carriers at most 256; these cases sit on both sides of
-# each bound and are checked against oracles.least_hom_violation
+# ------------------------------------------------------------ row scan
+# check_homomorphism scans every table by rows; it compares a row as bytes
+# when the source has at least _ROW_MIN elements and both carriers at most
+# 256, and entry by entry otherwise, or to locate a difference.  These cases
+# sit on both sides of each bound and are checked against
+# oracles.least_hom_violation
 
 # every arity 0-3; constants and ternary between the others, so a planted
 # violation can sit behind a full scan of an earlier symbol
@@ -214,7 +216,8 @@ MIXED = Signature([("b", 2), ("c", 0), ("t", 3), ("u", 1)])
 # at most binary, for carriers of 256 and more
 NARROW = Signature([("b", 2), ("c", 0), ("u", 1)])
 
-# both sides of the gate, with every arity where the tables stay small
+# both sides of the gate: rows compared entry by entry below _ROW_MIN and
+# as bytes from it, with every arity where the tables stay small
 GATE_SHAPES = [
     (MIXED, _ROW_MIN - 1, 2),
     (MIXED, _ROW_MIN, 2),
@@ -364,8 +367,8 @@ def test_tables_from_lists_and_from_tuples_make_one_algebra():
 
 @pytest.mark.parametrize("size, byte_tables", [(256, True), (257, False)])
 def test_byte_tables_only_up_to_256_elements(size, byte_tables):
-    """Above 256 elements there is no byte copy, and the tuple loop still
-    decides the homomorphism condition."""
+    """Above 256 elements there is no byte copy, and the entry compare
+    still decides the homomorphism condition."""
     sig = Signature([("s", 1), ("z", 0)])
     alg = FiniteAlgebra(sig, size, [[(x + 1) % size for x in range(size)], [0]])
     assert (alg._byte_tables is not None) is byte_tables

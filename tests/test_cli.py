@@ -24,11 +24,16 @@ PROJ_THEORY = str(DATA / "proj_theory.json")
 # laws of 7 and 8 variables: 2^7 and 2^8 assignments, past the scalar head
 XOR_WIDE_THEORY = str(DATA / "xor_wide_theory.json")
 PROJ_WIDE_THEORY = str(DATA / "proj_wide_theory.json")
-# Z16 -> Z4 over m/2 i/1 e/0: a source large enough for the row path
+# Z16 -> Z4 over m/2 i/1 e/0: a source large enough for the bytes compare
 GRP = str(DATA / "grp_sig.json")
 Z16 = str(DATA / "z16.json")
 Z4 = str(DATA / "z4.json")
 MOD4 = ",".join(f"{x}:{x % 4}" for x in range(16))
+# Z12 -> Z4 over e/0 i/1 m/2 t/3, t(x,y,z) = xy + z: a ternary symbol on a
+# source below the bytes gate (_ROW_MIN), its rows compared entry by entry
+RING = str(DATA / "ring_sig.json")
+Z12_RING = str(DATA / "z12_ring.json")
+Z4_RING = str(DATA / "z4_ring.json")
 
 
 def run(capsys, *argv):
@@ -172,6 +177,17 @@ def test_hom_counterexample_by_rows(capsys, changed, out):
     entries = [changed if e.split(":")[0] == src else e for e in MOD4.split(",")]
     argv = ["hom", "--sig", GRP, "--from", Z16, "--to", Z4, "--map", ",".join(entries)]
     assert_golden(capsys, argv, 1, out)
+
+
+@pytest.mark.parametrize(
+    "times, code, out",
+    [(1, 0, "ok\n"), (3, 1, "counterexample: t(1,1,0): 3 != 1\n")],
+    ids=["x", "3x"],
+)
+def test_hom_ternary_below_the_gate(capsys, times, code, out):
+    mapping = ",".join(f"{x}:{times * x % 4}" for x in range(12))
+    argv = ["hom", "--sig", RING, "--from", Z12_RING, "--to", Z4_RING, "--map", mapping]
+    assert_golden(capsys, argv, code, out)
 
 
 def test_hom_json(capsys):
@@ -513,6 +529,45 @@ def test_installed_entry_point_matches_in_process():
     ]
     assert runs[0].stdout == runs[1].stdout == b"5\n"
     assert runs[0].returncode == 0
+
+
+def test_output_is_the_same_under_every_hash_seed(tmp_path):
+    # PYTHONHASHSEED changes the iteration order of sets and dicts of str,
+    # and no report may follow it.  Both algebra files list names taken from
+    # set differences: missing and unknown tables, then unknown ones alone
+    both = tmp_path / "both.json"
+    both.write_text(json.dumps({"carrier": 2, "tables": {"e": [0], "w": [0], "x": [0]}}))
+    extra = tmp_path / "extra.json"
+    extra.write_text(json.dumps({"carrier": 2, "tables": {
+        "e": [0], "i": [0, 1], "m": [0] * 4, "t": [0] * 8, "x": [0], "w": [0],
+    }}))
+    times3 = ",".join(f"{x}:{3 * x % 4}" for x in range(12))
+    commands = [
+        ["sat", "--sig", PROJ, "--alg", PROJ_ALG, "--theory", PROJ_THEORY],
+        ["hom", "--sig", RING, "--from", Z12_RING, "--to", Z4_RING, "--map", times3],
+        ["enum", "--sig", str(DATA / "group_abc_sig.json"), "--max-len", "4", "--json"],
+        ["check", "--sig", NAT, "s s z", "z s", "z z"],
+        ["eval", "--sig", RING, "--alg", str(both), "e"],
+        ["eval", "--sig", RING, "--alg", str(extra), "e"],
+    ]
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
+
+    def outputs(seed):
+        runs = [
+            subprocess.run(
+                [sys.executable, "-m", "ualgebra", *argv],
+                capture_output=True,
+                env={**env, "PYTHONHASHSEED": seed},
+            )
+            for argv in commands
+        ]
+        return [(run.returncode, run.stdout, run.stderr) for run in runs]
+
+    first, *rest = [outputs(seed) for seed in ("0", "1", "2718")]
+    assert [code for code, _, _ in first] == [1, 1, 0, 1, 2, 2]
+    assert first[4][2] == b"ua: error: missing table(s) for: i, m, t\n"
+    assert first[5][2] == b"ua: error: table(s) for unknown symbol(s): w, x\n"
+    assert rest == [first, first]
 
 
 def test_package_runs_on_the_standard_library_alone():

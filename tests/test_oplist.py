@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from ualgebra.oplist import (
     split_terms,
     status_of,
 )
+from ualgebra.terms import Term
 
 import oracles
 from corpus import BIN, CORPUS, NAT, TERN
@@ -76,6 +79,15 @@ def test_invalid_indices_rejected():
         status_of(NAT, (-1,))
     with pytest.raises(InvalidSymbolError):
         status_of(NAT, (0, "s"))
+    # in range, but not ints: no bare TypeError from the table lookups
+    with pytest.raises(InvalidSymbolError):
+        status_of(NAT, (Fraction(1), 0))
+    with pytest.raises(InvalidSymbolError):
+        Term(NAT, (1.0, 0))
+    with pytest.raises(InvalidSymbolError):
+        format_oplist(NAT, [1.0, 0])
+    with pytest.raises(InvalidSymbolError):
+        split_terms(NAT, [0.0], 1)
 
 
 def test_split_two_constants():
