@@ -15,7 +15,14 @@ for 3, 25 for 5 and 49 for 7.  Then each band [size^k, size^(k+1)), and
 past 10^4 each aligned block of at most max(10^4, size), is one `fold` of
 each side in the power of the algebra over its assignments, whose
 elements are columns; a violation at assignment i costs O(size * i)
-evaluations.  A theory builds one extended signature per distinct
+evaluations.  Let b = (size - 1).bit_length().  When every symbol the
+equation uses has an arity a with a * b <= 8 (unary symbols up to 256
+elements, binary up to 16, ternary up to 4), the columns are bytes: the
+arguments' columns pack into one int with b-bit lanes inside each byte,
+and one `bytes.translate` through a 256-entry table gives the column of
+values, so a step runs in C.  Eight bits because a byte is what
+`translate` maps; other carriers take lists of values, one Python-level
+`map` per step.  A theory builds one extended signature per distinct
 variable list, which its equations with that list share.
 """
 
@@ -52,6 +59,9 @@ DEFAULT_BUDGET = 10 ** 7
 # block is longer than _BLOCK_CAP, which bounds the memory a scan holds.
 _SCALAR_HEAD = 64
 _BLOCK_CAP = 10 ** 4
+# The bits of a byte: a scan's columns are bytes when the arguments of each
+# symbol it uses pack into one
+_BYTE_BITS = 8
 
 
 class Equation(_Record):
@@ -207,15 +217,18 @@ def find_violation(
     arities = equation.lhs.signature._arities
     tables = algebra.tables
     both = equation.lhs.ops + equation.rhs.ops  # status Ok(2)
-    # each assignment as the variables' one-entry tables, in the same order
-    singletons = tuple((value,) for value in range(size))
-    assignments = itertools.product(singletons, repeat=n)
+    values = size
     head = total
     if total > _SCALAR_HEAD:
         # the least power of size whose next band holds _SCALAR_HEAD
         head = 1
         while (size - 1) * head < _SCALAR_HEAD:
             head *= size
+        values = min(size, head)  # the head reaches no value from here on
+    # each assignment as the variables' one-entry tables, in the same order
+    singletons = tuple((value,) for value in range(values))
+    assignments = itertools.product(singletons, repeat=n)
+    if head < total:
         assignments = itertools.islice(assignments, head)
     for extra in assignments:
         rhs, lhs = _evaluate_ops(arities, tables + extra, size, both)
@@ -230,16 +243,39 @@ def _scan_columns(tables, size, n, equation, start, total):
     # the assignments from `start`, a power of size, on: bands while one fits
     # _BLOCK_CAP, then aligned blocks of the largest power of size within it;
     # each block is one fold of each side in the power of the algebra over its
-    # assignments.  A carrier past the cap takes blocks of its size, not of one
+    # assignments.  A carrier past the cap takes blocks of its size, not of one.
+    # Columns are bytes when every symbol's arguments, in lanes of `bits`
+    # bits, fit the 8 bits of one byte, the index `translate` maps: a step is
+    # then one shift per argument and one translate; other carriers take lists
     cap = max(_BLOCK_CAP, size)
     base = len(tables)
+    arities = equation.lhs.signature._arities
+    used = {op for op in equation.lhs.ops + equation.rhs.ops if op < base}
+    bits = (size - 1).bit_length()
+    packed = bits * max([arities[op] for op in used] + [1]) <= _BYTE_BITS
+    unit = bytes if packed else list
     rows = {}  # binary tables as lists of rows, built on first use
+    translations = {}  # per symbol: the byte of its packed arguments to its value
+    if packed:
+        for op in used:
+            translations[op] = translation = bytearray(256)
+            cells = itertools.product(range(size), repeat=arities[op])
+            for args, value in zip(cells, tables[op]):
+                key = 0
+                for v in args:
+                    key = key << bits | v
+                translation[key] = value
 
     def operation(symbol, args):
         # the operation of the power algebra: each value is a column
         op = symbol.index
         if not args:
-            return columns[op - base] if op >= base else [tables[op][0]] * length
+            return columns[op - base] if op >= base else unit(tables[op]) * length
+        if packed:
+            lanes = 0
+            for column in args:
+                lanes = lanes << bits | int.from_bytes(column, "little")
+            return lanes.to_bytes(length, "little").translate(translations[op])
         table = tables[op]
         if len(args) == 2:
             if op not in rows:
@@ -263,10 +299,11 @@ def _scan_columns(tables, size, n, equation, start, total):
             place = size ** (n - 1 - i)
             digit = start // place % size
             if place > step:  # fixed over the block
-                columns.append([digit] * length)
+                columns.append(unit((digit,)) * length)
                 continue
             runs = range(digit, digit + count if place == step else size)
-            column = list(itertools.chain.from_iterable([v] * place for v in runs))
+            parts = (unit((v,)) * place for v in runs)
+            column = b"".join(parts) if packed else list(itertools.chain.from_iterable(parts))
             columns.append(column * (length // len(column)))
         lhs = fold(operation, equation.lhs)
         rhs = fold(operation, equation.rhs)

@@ -3,7 +3,8 @@
 Everything here is deliberately naive: a recursive-descent reader of the
 flat encoding, tree-recursive folds and evaluation over the trees it
 produces, a materialized-stack rerun of the machine, brute-force
-enumeration / factorization / satisfaction, and the character-by-character
+enumeration / factorization / satisfaction, the tables of an algebra
+carried along a permutation of its carrier, and the character-by-character
 term reader that `ualgebra.syntax.parse_term` replaced.  Only ever run on
 small inputs.
 """
@@ -141,6 +142,26 @@ def least_hom_violation(source, target, mapping):
             if lhs != rhs:
                 return sym, args, lhs, rhs
     return None
+
+
+def transported_tables(algebra, s):
+    """The tables of sA, the algebra carried along the carrier permutation
+    s (a list, x to s[x]): (sA).f(s x1, ..., s xa) = s(A.f(x1, ..., xa)).
+    Reads the tables directly and calls nothing in `algebras`."""
+    size = algebra.carrier_size
+    inverse = [0] * size
+    for x, y in enumerate(s):
+        inverse[y] = x
+    tables = []
+    for sym, table in zip(algebra.signature.symbols, algebra.tables):
+        moved = []
+        for args in itertools.product(range(size), repeat=sym.arity):
+            index = 0
+            for y in args:
+                index = index * size + inverse[y]
+            moved.append(s[table[index]])
+        tables.append(moved)
+    return tables
 
 
 def all_oplists(signature, max_len):

@@ -29,6 +29,10 @@ GRP = str(DATA / "grp_sig.json")
 Z16 = str(DATA / "z16.json")
 Z4 = str(DATA / "z4.json")
 MOD4 = ",".join(f"{x}:{x % 4}" for x in range(16))
+# laws of 3 and 4 variables over Z16: 16^4 assignments reach aligned column
+# blocks, and m's two arguments fill a byte (2 * 4 bits), so columns are bytes
+GRP_WIDE_THEORY = str(DATA / "grp_wide_theory.json")
+GRP_WIDE_FAIL_THEORY = str(DATA / "grp_wide_fail_theory.json")
 # Z12 -> Z4 over e/0 i/1 m/2 t/3, t(x,y,z) = xy + z: a ternary symbol on a
 # source below the bytes gate (_ROW_MIN), its rows compared entry by entry
 RING = str(DATA / "ring_sig.json")
@@ -276,6 +280,25 @@ def test_sat_failure_on_the_first_column_block(capsys):
         ["sat", "--sig", PROJ, "--alg", PROJ_ALG, "--theory", PROJ_WIDE_THEORY],
         1,
         "fails comm8 at (0,1,0,0,0,0,0,0)\n",
+    )
+
+
+def test_sat_model_through_byte_columns(capsys):
+    assert_golden(
+        capsys,
+        ["sat", "--sig", GRP, "--alg", Z16, "--theory", GRP_WIDE_THEORY],
+        0,
+        "model\n",
+    )
+
+
+def test_sat_failure_on_the_first_aligned_block_of_byte_columns(capsys):
+    # assignment 4096 = 16^3, the first past the bands
+    assert_golden(
+        capsys,
+        ["sat", "--sig", GRP, "--alg", Z16, "--theory", GRP_WIDE_FAIL_THEORY],
+        1,
+        "fails turn4 at (1,0,0,0)\n",
     )
 
 

@@ -1,4 +1,10 @@
+import json
+import os
+import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,7 +30,7 @@ from ualgebra.errors import (
     UAlgebraError,
 )
 from ualgebra.signature import Signature
-from ualgebra.terms import Term, enumerate_terms
+from ualgebra.terms import Term, enumerate_terms, fold
 
 import oracles
 from corpus import N4, NAT, small_algebras
@@ -298,14 +304,19 @@ SEVEN = [f"x{i}" for i in range(7)]
 def test_every_scan_schedule_agrees_with_tree_oracle(law, head, cap):
     """With small thresholds every schedule shape runs: a head of one
     assignment, bands of one entry, aligned blocks as short as the
-    carrier, over carriers 1-3, arities 0-3 and 0-4 variables.  The
-    examples pin the operand order of the column pass."""
+    carrier, over carriers 1-3, arities 0-3 and 0-4 variables, in both
+    column representations: carriers 1-3 with arities up to 3 always pack
+    into bytes, and no bits to pack into forces lists.  The examples pin
+    the operand order of the column pass."""
     algebra, eq = law
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(equations, "_SCALAR_HEAD", head)
-        patch.setattr(equations, "_BLOCK_CAP", cap)
-        got = find_violation(algebra, eq)
-    assert got == oracles.least_violation(algebra, eq)
+    want = oracles.least_violation(algebra, eq)
+    for byte_bits in (equations._BYTE_BITS, 0):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(equations, "_SCALAR_HEAD", head)
+            patch.setattr(equations, "_BLOCK_CAP", cap)
+            patch.setattr(equations, "_BYTE_BITS", byte_bits)
+            got = find_violation(algebra, eq)
+        assert got == want, byte_bits
 
 
 def test_carrier_past_the_cap_is_scanned_in_blocks_of_its_size(monkeypatch):
@@ -336,6 +347,206 @@ def test_budget_is_checked_before_any_column_is_built(monkeypatch):
         find_violation(algebra, eq, budget=255)
     with pytest.raises(AssertionError, match="a column was built"):
         find_violation(algebra, eq, budget=256)
+
+
+# ------------------------------------------------------------ column representation
+
+def scanned(monkeypatch, algebra, eq):
+    """find_violation's result and the types of the columns its scan folded."""
+    kinds = set()
+
+    def spied(step, term):
+        column = fold(step, term)
+        kinds.add(type(column))
+        return column
+
+    monkeypatch.setattr(equations, "fold", spied)
+    return find_violation(algebra, eq), kinds
+
+
+def near_miss(arity, size, index, extra=()):
+    """An algebra where g is a random f/arity changed at entry `index`
+    alone, u is a random unary symbol, and each extra symbol is random."""
+    rng = random.Random(size * 10 + arity)
+    entries = [("f", arity), ("g", arity), ("u", 1), *extra]
+    tables = [[rng.randrange(size) for _ in range(size ** a)] for _, a in entries]
+    tables[1] = list(tables[0])
+    tables[1][index] = (tables[0][index] + 1) % size
+    return FiniteAlgebra(Signature(entries), size, tables)
+
+
+# (arity, carrier size, variables, entry of f that g changes, column type):
+# each packing bound, arity * bits <= 8, from both sides; the entry's
+# assignment is past the scalar head and not symmetric in its arguments
+PACKING = [
+    pytest.param(1, 256, 1, 200, bytes, id="unary-256"),
+    pytest.param(1, 257, 1, 200, list, id="unary-257"),
+    pytest.param(2, 16, 2, 16 * 11 + 5, bytes, id="binary-16"),
+    pytest.param(2, 17, 2, 17 * 11 + 5, list, id="binary-17"),
+    pytest.param(3, 4, 4, 16 * 3 + 4 * 1 + 2, bytes, id="ternary-4"),
+    pytest.param(3, 5, 4, 25 * 3 + 5 * 1 + 2, list, id="ternary-5"),
+]
+
+
+@pytest.mark.parametrize("arity, size, n, index, kind", PACKING)
+def test_columns_are_bytes_up_to_each_packing_bound(monkeypatch, arity, size, n, index, kind):
+    algebra = near_miss(arity, size, index)
+    names = [f"x{i}" for i in range(n)]
+    args = ",".join(names[:arity])
+    rest = "".join("," + name for name in names[1:arity])
+    laws = [
+        # fails exactly on the changed entry
+        (f"f({args})", f"g({args})"),
+        # the same values, repacked as arguments of f and of u
+        (f"f(g({args}){rest})", f"f(f({args}){rest})"),
+        (f"u(f({args}))", f"u(g({args}))"),
+    ]
+    found = []
+    for lhs, rhs in laws:
+        eq = parse_equation(algebra.signature, names, lhs, rhs)
+        got, kinds = scanned(monkeypatch, algebra, eq)
+        assert got == oracles.least_violation(algebra, eq)
+        assert kinds == {kind}
+        found.append(got)
+    assert found[0] == digits(size, arity, index) + (0,) * (n - arity)
+
+
+def test_one_symbol_past_its_packing_bound_puts_the_whole_scan_on_lists(monkeypatch):
+    # at 16 elements (4 bits) f/2 packs into a byte and t/3 does not
+    algebra = near_miss(2, 16, 16 * 11 + 5, extra=[("t", 3)])
+    sig, names = algebra.signature, ["x", "y", "z"]
+    fits = parse_equation(sig, names, "f(u(x),f(y,z))", "f(u(x),g(y,z))")
+    mixed = parse_equation(sig, names, "t(x,x,f(y,z))", "t(x,x,g(y,z))")
+    got, kinds = scanned(monkeypatch, algebra, fits)
+    assert (got, kinds) == (oracles.least_violation(algebra, fits), {bytes})
+    got, kinds = scanned(monkeypatch, algebra, mixed)
+    assert (got, kinds) == (oracles.least_violation(algebra, mixed), {list})
+
+
+def test_singletons_stop_at_the_head(tmp_path):
+    # a constants-only carrier of 10^6 elements under x = x: the scalar head
+    # is one assignment, so the scan builds one tuple per head value, not
+    # one per element (145 MB peak with those, 60 MB without, on CPython 3.11)
+    sig = tmp_path / "sig.json"
+    sig.write_text(json.dumps({"symbols": [{"name": "e", "arity": 0}]}))
+    alg = tmp_path / "alg.json"
+    alg.write_text(json.dumps({"carrier": 10 ** 6, "tables": {"e": [0]}}))
+    theory = tmp_path / "theory.json"
+    theory.write_text(json.dumps({"name": "t", "equations": [
+        {"label": "refl", "vars": ["x"], "lhs": "x", "rhs": "x"}
+    ]}))
+    # the child reports its own peak, in KiB on Linux
+    code = (
+        "import resource, sys\n"
+        "from ualgebra.cli import main\n"
+        "status = main(sys.argv[1:])\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+        "sys.exit(status)\n"
+    )
+    # a process's ru_maxrss starts from its parent's peak at exec, so a
+    # fresh interpreter, not this one, starts the child that measures
+    launch = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
+    src = Path(__file__).parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", launch, sys.executable, "-c", code,
+         "sat", "--sig", str(sig), "--alg", str(alg), "--theory", str(theory)],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert (proc.returncode, proc.stdout) == (0, b"model\n")
+    assert int(proc.stderr) < 100 * 1024
+
+
+# ------------------------------------------------------------ transport of structure
+
+GRP = Signature([("m", 2), ("i", 1), ("e", 0)])
+RING = Signature([("e", 0), ("i", 1), ("m", 2), ("t", 3)])
+
+
+def cyclic_group(size):
+    cells = range(size)
+    return FiniteAlgebra(GRP, size, [
+        [(x + y) % size for x in cells for y in cells],
+        [-x % size for x in cells],
+        [0],
+    ])
+
+
+def cyclic_ring(size):
+    # m is addition and t(x, y, z) = xy + z
+    cells = range(size)
+    return FiniteAlgebra(RING, size, [
+        [0],
+        [-x % size for x in cells],
+        [(x + y) % size for x in cells for y in cells],
+        [(x * y + z) % size for x in cells for y in cells for z in cells],
+    ])
+
+
+def sums(terms):
+    # m(a, m(b, ...)) over the given subterms
+    text = terms[-1]
+    for term in reversed(terms[:-1]):
+        text = f"m({term},{text})"
+    return text
+
+
+def transport_laws(algebra, n):
+    """A law that holds and one whose least violation is (1, 0, ..., 0),
+    in n variables, both over the whole carrier."""
+    names = [f"x{i}" for i in range(n)]
+    if algebra.signature == GRP:
+        # commutative; and x0 + ... = ... - x0, broken where 2 x0 != 0
+        holds = (sums(names), sums(names[:0:-1] + ["i(i(x0))"]))
+        fails = (sums(names), sums(names[1:] + ["i(x0)"]))
+    else:
+        # x0 x1 + ... commutes; and x0 x1 + ... = x0 + ..., broken where x0 x1 != x0
+        rest = sums(names[2:])
+        holds = (f"t(x0,x1,{rest})", f"t(x1,x0,{sums(names[:1:-1])})")
+        fails = (f"t(x0,x1,{rest})", f"m(x0,{rest})")
+    return [parse_equation(algebra.signature, names, *law) for law in (holds, fails)]
+
+
+@pytest.mark.parametrize(
+    "algebra, n",
+    [
+        # 5^8 assignments: aligned blocks past the cap, byte columns
+        pytest.param(cyclic_group(5), 8, id="Z5-group-8"),
+        # m at its packing bound, from both sides
+        pytest.param(cyclic_group(16), 4, id="Z16-group-4"),
+        pytest.param(cyclic_group(17), 4, id="Z17-group-4"),
+        # t at its packing bound, from both sides, and t on lists past it
+        pytest.param(cyclic_ring(4), 5, id="Z4-ring-5"),
+        pytest.param(cyclic_ring(5), 5, id="Z5-ring-5"),
+        pytest.param(cyclic_ring(16), 3, id="Z16-ring-3"),
+        pytest.param(cyclic_ring(17), 3, id="Z17-ring-3"),
+    ],
+)
+@pytest.mark.parametrize("fixed", [False, True], ids=["any", "fixes-0"])
+def test_transport_of_structure_moves_each_least_violation(algebra, n, fixed):
+    """A and sA, the algebra carried along a carrier permutation s, give
+    the same verdict; each violation carried along s (or back) is one in
+    the other algebra, and no less than the other's least.  When s fixes
+    0, the violation in sA is as deep in the scan as the one in A."""
+    size = algebra.carrier_size
+    s = random.Random(size * n).sample(range(size), size)
+    if fixed:
+        s[s.index(0)] = s[0]
+        s[0] = 0
+    inverse = [s.index(y) for y in range(size)]
+    moved = FiniteAlgebra(algebra.signature, size, oracles.transported_tables(algebra, s))
+    holds, fails = transport_laws(algebra, n)
+    assert find_violation(algebra, holds) is find_violation(moved, holds) is None
+    v = find_violation(algebra, fails)
+    w = find_violation(moved, fails)
+    assert v == (1,) + (0,) * (n - 1)
+    there = tuple(s[x] for x in v)
+    back = tuple(inverse[y] for y in w)
+    for alg, asg in ((moved, there), (algebra, back)):
+        assert evaluate_with(alg, n, fails.lhs, asg) != evaluate_with(alg, n, fails.rhs, asg)
+    assert v <= back and w <= there
+    if fixed:  # x0 = 0 satisfies the law in A, so y0 = s(0) = 0 does in sA
+        assert w[0] != 0
 
 
 # ------------------------------------------------------------ theories
