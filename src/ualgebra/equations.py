@@ -9,21 +9,20 @@ significant, which makes the reported counterexample the least one.  The
 sides written one after the other form an Ok(2) oplist, and one pass
 yields both values.  The scalar loop runs per assignment, variable i
 having the one-entry table (value,), over a whole space of at most 64
-assignments and over the head of a larger one: the least power c^w of the
-carrier size c with (c - 1) * c^w >= 64, which is 64 for c = 2 or 4, 81
-for 3, 25 for 5 and 49 for 7.  Then each band [size^k, size^(k+1)), and
-past 10^4 each aligned block of at most max(10^4, size), is one `fold` of
-each side in the power of the algebra over its assignments, whose
-elements are columns; a violation at assignment i costs O(size * i)
-evaluations.  Let b = (size - 1).bit_length().  When every symbol the
-equation uses has an arity a with a * b <= 8 (unary symbols up to 256
-elements, binary up to 16, ternary up to 4), the columns are bytes: the
-arguments' columns pack into one int with b-bit lanes inside each byte,
-and one `bytes.translate` through a 256-entry table gives the column of
-values, so a step runs in C.  Eight bits because a byte is what
-`translate` maps; other carriers take lists of values, one Python-level
-`map` per step.  A theory builds one extended signature per distinct
-variable list, which its equations with that list share.
+assignments and over the head of a larger one, the least power c^w of the
+carrier size c with (c - 1) * c^w >= 64.  Then each band [c^k, c^(k+1)),
+and past 10^4 each aligned block of at most 10^4, is one `fold` of each
+side in the power of the algebra, whose elements are ints (constants, and
+digits fixed over the block) and columns; a step on one column is a unary
+polynomial.  With b = (c - 1).bit_length(), when each symbol used has an
+arity a with a * b <= 8 (unary up to 256 elements, binary up to 16,
+ternary up to 4), columns are bytes: a unary polynomial is then one
+`bytes.translate`, and a step on more columns packs them into an int with
+b-bit lanes inside each byte and translates that; other carriers take
+lists.  Aligned blocks differ only in their fixed digits, so the columns
+of the others, and each node over these alone, are built once.  A theory
+builds one extended signature per distinct variable list, which its
+equations with that list share.
 """
 
 from __future__ import annotations
@@ -241,75 +240,114 @@ def find_violation(
 
 def _scan_columns(tables, size, n, equation, start, total):
     # the assignments from `start`, a power of size, on: bands while one fits
-    # _BLOCK_CAP, then aligned blocks of the largest power of size within it;
-    # each block is one fold of each side in the power of the algebra over its
-    # assignments.  A carrier past the cap takes blocks of its size, not of one.
-    # Columns are bytes when every symbol's arguments, in lanes of `bits`
-    # bits, fit the 8 bits of one byte, the index `translate` maps: a step is
-    # then one shift per argument and one translate; other carriers take lists
-    cap = max(_BLOCK_CAP, size)
+    # _BLOCK_CAP, then aligned blocks of the largest power of size within it
+    # (past the cap, blocks within one run of the last digit); columns are
+    # bytes when every symbol's arguments, in `bits`-bit lanes, fit a byte
     base = len(tables)
     arities = equation.lhs.signature._arities
     used = {op for op in equation.lhs.ops + equation.rhs.ops if op < base}
     bits = (size - 1).bit_length()
-    packed = bits * max([arities[op] for op in used] + [1]) <= _BYTE_BITS
-    unit = bytes if packed else list
+    degrees = [arities[op] for op in used]
+    packed = bits * max(degrees + [1]) <= _BYTE_BITS
+    # per symbol: its values by the digits of its arguments in base `radix`
+    unit, radix, sources = (bytes, 1 << bits, {}) if packed else (list, size, tables)
     rows = {}  # binary tables as lists of rows, built on first use
-    translations = {}  # per symbol: the byte of its packed arguments to its value
-    if packed:
-        for op in used:
-            translations[op] = translation = bytearray(256)
-            cells = itertools.product(range(size), repeat=arities[op])
-            for args, value in zip(cells, tables[op]):
-                key = 0
-                for v in args:
-                    key = key << bits | v
-                translation[key] = value
+    unary = {}  # (symbol, int arguments) to the table of its unary polynomial
+    kept = {}  # aligned blocks: the id of each column built once, to its lanes
+    memo = {}  # aligned blocks: (symbol, ids of kept arguments) to its column
+    for op in [op for op in used if packed and arities[op]]:
+        keys = [0]  # the packed keys of all arguments but the last, in order
+        for _ in range(arities[op] - 1):
+            keys = [key << bits | v for key in keys for v in range(size)]
+        sources[op] = translation = bytearray(256)
+        for i, key in enumerate(keys):
+            translation[key << bits:(key << bits) + size] = tables[op][i * size:i * size + size]
 
     def operation(symbol, args):
-        # the operation of the power algebra: each value is a column
+        # the operation of the power algebra; an int stands for its diagonal element
         op = symbol.index
         if not args:
-            return columns[op - base] if op >= base else unit(tables[op]) * length
+            return values[op - base] if op >= base else tables[op][0]
+        if scalars and (len(args) == 1 or int in map(type, args)):
+            offset = stride = holes = 0
+            for arg in args:
+                offset *= radix
+                stride *= radix
+                if type(arg) is int:
+                    offset += arg
+                else:
+                    column, stride, holes = arg, 1, holes + 1
+            if not holes:
+                return sources[op][offset]
+            if holes == 1:  # a unary polynomial, its table built once
+                table = unary.get((op, offset, stride))
+                if table is None:
+                    table = sources[op][offset::stride]
+                    table = unary[op, offset, stride] = table.ljust(256) if packed else table
+                return column.translate(table) if packed else list(map(table.__getitem__, column))
+            args = [unit((v,)) * length if type(v) is int else v for v in args]
         if packed:
             lanes = 0
-            for column in args:
-                lanes = lanes << bits | int.from_bytes(column, "little")
-            return lanes.to_bytes(length, "little").translate(translations[op])
-        table = tables[op]
+            for arg in args:
+                lanes <<= bits
+                lanes |= reuse and kept.get(id(arg)) or int.from_bytes(arg, "little")
+            return lanes.to_bytes(length, "little").translate(sources[op])
         if len(args) == 2:
             if op not in rows:
+                table = tables[op]
                 rows[op] = [table[i:i + size] for i in range(0, size * size, size)]
             x, y = args
             return list(map(getitem, map(rows[op].__getitem__, x), y))
         index = args[0]
         for column in args[1:]:
             index = [i * size + v for i, v in zip(index, column)]
-        return list(map(table.__getitem__, index))
+        return list(map(tables[op].__getitem__, index))
 
+    def keeping(symbol, args):
+        # the operation in aligned blocks: keeps each column over kept ones alone
+        key = (symbol, *map(id, args))
+        if key in memo:
+            return memo[key]
+        column = operation(symbol, args)
+        if type(column) is not int and all(map(kept.__contains__, key[1:])):
+            memo[key] = column
+            kept[id(column)] = packed and int.from_bytes(column, "little")
+        return column
+
+    places = [size ** (n - 1 - i) for i in range(n)]
     aligned = 1
-    while aligned * size <= cap:
+    while aligned * size <= _BLOCK_CAP:
         aligned *= size
     while start < total:
         # `count` runs of `step` assignments; start is a multiple of step
-        step, count = (start, size - 1) if (size - 1) * start <= cap else (aligned, 1)
+        if (size - 1) * start <= _BLOCK_CAP:
+            step, count = start, size - 1
+        elif aligned < size:  # past the cap
+            step, count = 1, min(_BLOCK_CAP, size - start % size)
+        else:
+            step, count = aligned, 1
         length = step * count
-        columns = []
-        for i in range(n):
-            place = size ** (n - 1 - i)
+        reuse = length == aligned  # the blocks that differ only in their fixed digits
+        scalars = 0 in degrees or places[0] >= length  # an int can occur
+        values = []
+        for place in places:
             digit = start // place % size
-            if place > step:  # fixed over the block
-                columns.append(unit((digit,)) * length)
-                continue
-            runs = range(digit, digit + count if place == step else size)
-            parts = (unit((v,)) * place for v in runs)
-            column = b"".join(parts) if packed else list(itertools.chain.from_iterable(parts))
-            columns.append(column * (length // len(column)))
-        lhs = fold(operation, equation.lhs)
-        rhs = fold(operation, equation.rhs)
-        if lhs != rhs:
-            at = next(i for i, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
-            return tuple(column[at] for column in columns)
+            if place >= length:  # fixed over the block
+                values.append(digit)
+            elif reuse and memo:  # past the first aligned block, memo alone holds it
+                values.append(None)
+            else:
+                runs = range(digit, digit + count if place == step else size)
+                parts = (unit((v,)) * place for v in runs)
+                column = b"".join(parts) if packed else list(itertools.chain.from_iterable(parts))
+                values.append(column * (length // len(column)))
+        power = keeping if reuse else operation
+        lhs, rhs = fold(power, equation.lhs), fold(power, equation.rhs)
+        if lhs != rhs:  # an int and a column may yet agree
+            lhs, rhs = (unit((v,)) * length if type(v) is int else v for v in (lhs, rhs))
+            at = next((i for i, (x, y) in enumerate(zip(lhs, rhs)) if x != y), None)
+            if at is not None:
+                return tuple((start + at) // place % size for place in places)
         start += length
     return None
 

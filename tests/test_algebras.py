@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ualgebra.algebras import (
+    _BYTE_CARRIER,
     _ROW_MIN,
     FiniteAlgebra,
     check_homomorphism,
@@ -342,6 +343,51 @@ def check_least_violation(sig, s_size, t_size, seed, plants):
         assert not plants
     else:
         assert (got.symbol, got.args, got.lhs, got.rhs) == want
+
+
+# ------------------------------------------------------------ transport of structure
+# sA, an algebra A carried along a carrier permutation s, is isomorphic to A
+# by s, whatever the tables: s and its inverse are homomorphisms and s
+# commutes with evaluation, with no oracle to consult.  The sizes sit on
+# both sides of _ROW_MIN and of the byte bound _BYTE_CARRIER
+
+
+@pytest.mark.parametrize(
+    "size",
+    [_ROW_MIN - 1, _ROW_MIN, _ROW_MIN + 1, _BYTE_CARRIER - 1, _BYTE_CARRIER, _BYTE_CARRIER + 1],
+)
+def test_transport_of_structure_is_an_isomorphism(size):
+    rng = random.Random(size)
+    sig = MIXED if size <= _ROW_MIN + 1 else NARROW  # no ternary table of 255^3
+    tables = [rng.choices(range(size), k=size ** sym.arity) for sym in sig.symbols]
+    algebra = FiniteAlgebra(sig, size, tables)
+    s = rng.sample(range(size), size)
+    inverse = [0] * size
+    for x, y in enumerate(s):
+        inverse[y] = x
+    moved = oracles.transported_tables(algebra, s)
+    image = FiniteAlgebra(sig, size, moved)
+    assert check_homomorphism(algebra, image, s) is None
+    assert check_homomorphism(image, algebra, inverse) is None
+    for term in enumerate_terms(sig, 6):
+        assert image.evaluate(term) == s[algebra.evaluate(term)]
+    # one changed entry of sA, the first or the last of b, or any of t (of
+    # the constant c from 255 elements): each map breaks there alone
+    b, other = sig.symbol("b"), sig.symbols[-2]
+    for sym, index in [(b, 0), (b, size * size - 1), (other, rng.randrange(size ** other.arity))]:
+        broken = [list(table) for table in moved]
+        broken[sym.index][index] = (moved[sym.index][index] + 1) % size
+        broken = FiniteAlgebra(sig, size, broken)
+        args = tuple(index // size ** (sym.arity - 1 - i) % size for i in range(sym.arity))
+        there = check_homomorphism(algebra, broken, s)
+        back = check_homomorphism(broken, algebra, inverse)
+        assert (there.symbol, there.args) == (sym, tuple(inverse[y] for y in args))
+        assert (back.symbol, back.args) == (sym, args)
+        for got, want in [
+            (there, oracles.least_hom_violation(algebra, broken, s)),
+            (back, oracles.least_hom_violation(broken, algebra, inverse)),
+        ]:
+            assert (got.symbol, got.args, got.lhs, got.rhs) == want
 
 
 # ------------------------------------------------------------ representation

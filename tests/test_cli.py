@@ -33,6 +33,13 @@ MOD4 = ",".join(f"{x}:{x % 4}" for x in range(16))
 # blocks, and m's two arguments fill a byte (2 * 4 bits), so columns are bytes
 GRP_WIDE_THEORY = str(DATA / "grp_wide_theory.json")
 GRP_WIDE_FAIL_THEORY = str(DATA / "grp_wide_fail_theory.json")
+# f/2 and g/2 that differ at entry (5, 9) alone, and f(x0,x3) = g(x0,x3) in 4
+# variables: the least violation (5,0,0,9) sits mid-block in aligned block 5,
+# x0 fixed at 5 over it; on bytes at 16 elements, on lists at 17
+FG = str(DATA / "fg_sig.json")
+FG16 = str(DATA / "fg16.json")
+FG17 = str(DATA / "fg17.json")
+FG_LATE_THEORY = str(DATA / "fg_late_theory.json")
 # Z12 -> Z4 over e/0 i/1 m/2 t/3, t(x,y,z) = xy + z: a ternary symbol on a
 # source below the bytes gate (_ROW_MIN), its rows compared entry by entry
 RING = str(DATA / "ring_sig.json")
@@ -299,6 +306,16 @@ def test_sat_failure_on_the_first_aligned_block_of_byte_columns(capsys):
         ["sat", "--sig", GRP, "--alg", Z16, "--theory", GRP_WIDE_FAIL_THEORY],
         1,
         "fails turn4 at (1,0,0,0)\n",
+    )
+
+
+@pytest.mark.parametrize("alg", [FG16, FG17], ids=["bytes-16", "lists-17"])
+def test_sat_failure_mid_block_in_a_late_aligned_block(capsys, alg):
+    assert_golden(
+        capsys,
+        ["sat", "--sig", FG, "--alg", alg, "--theory", FG_LATE_THEORY],
+        1,
+        "fails fg at (5,0,0,9)\n",
     )
 
 

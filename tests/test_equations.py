@@ -319,7 +319,7 @@ def test_every_scan_schedule_agrees_with_tree_oracle(law, head, cap):
         assert got == want, byte_bits
 
 
-def test_carrier_past_the_cap_is_scanned_in_blocks_of_its_size(monkeypatch):
+def test_carrier_past_the_cap_is_scanned_in_blocks_within_the_cap(monkeypatch):
     size = CAP + 3
     sig = Signature([("s", 1)])
     algebra = FiniteAlgebra(sig, size, [list(range(size - 1)) + [0]])
@@ -334,7 +334,9 @@ def test_carrier_past_the_cap_is_scanned_in_blocks_of_its_size(monkeypatch):
 
     monkeypatch.setattr(equations, "fold", counted)
     assert find_violation(algebra, eq) == oracles.least_violation(algebra, eq) == (size - 1,)
-    assert passes == [size - 1] * 2  # one band after a scalar head of one, once per side
+    # after a scalar head of one, blocks of at most the cap, not one of the
+    # carrier's length: [CAP, CAP, 2, 2], each block once per side
+    assert passes and max(passes) <= equations._BLOCK_CAP
 
 
 def test_budget_is_checked_before_any_column_is_built(monkeypatch):
@@ -426,7 +428,8 @@ def test_one_symbol_past_its_packing_bound_puts_the_whole_scan_on_lists(monkeypa
 def test_singletons_stop_at_the_head(tmp_path):
     # a constants-only carrier of 10^6 elements under x = x: the scalar head
     # is one assignment, so the scan builds one tuple per head value, not
-    # one per element (145 MB peak with those, 60 MB without, on CPython 3.11)
+    # one per element (145 MB peak with those, 60 MB without), and blocks of
+    # at most _BLOCK_CAP, not one of 10^6 entries (16 MB; CPython 3.11)
     sig = tmp_path / "sig.json"
     sig.write_text(json.dumps({"symbols": [{"name": "e", "arity": 0}]}))
     alg = tmp_path / "alg.json"
@@ -454,7 +457,124 @@ def test_singletons_stop_at_the_head(tmp_path):
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert (proc.returncode, proc.stdout) == (0, b"model\n")
-    assert int(proc.stderr) < 100 * 1024
+    assert int(proc.stderr) < 40 * 1024
+
+
+# ------------------------------------------------------------ step kinds
+# In a column block a digit fixed over the block is an int and a cycling one
+# a column, so a step runs on ints alone, on one column (a unary polynomial
+# of the algebra) or on several; aligned blocks keep the columns over the
+# cycling digits alone.  With a scalar head of one and a cap of size^2, the
+# blocks over five variables fix x0, x1 and x2, and x3 and x4 cycle
+
+
+def planted(size, a, b):
+    """Z_size as m/2 (addition), i/1 (negation) and e/0, with f/2 random,
+    g/2 equal to f but at entry (a, b), k/2 zero but 1 at (a, b), p/3 with
+    p(x, y, z) = f(x, y + z) and u/1 a random permutation."""
+    rng = random.Random(size)
+    cells = range(size)
+    f = [rng.randrange(size) for _ in range(size * size)]
+    g = list(f)
+    g[a * size + b] = (f[a * size + b] + 1) % size
+    k = [int((x, y) == (a, b)) for x in cells for y in cells]
+    p = [f[x * size + (y + z) % size] for x in cells for y in cells for z in cells]
+    sig = Signature([
+        ("m", 2), ("i", 1), ("e", 0), ("f", 2), ("g", 2), ("k", 2), ("p", 3), ("u", 1),
+    ])
+    return FiniteAlgebra(sig, size, [
+        [(x + y) % size for x in cells for y in cells],
+        [-x % size for x in cells],
+        [0],
+        f,
+        g,
+        k,
+        p,
+        rng.sample(cells, size),
+    ])
+
+
+# (lhs, rhs, the least violation for a plant at (a, b), or None: it holds)
+STEP_LAWS = [
+    pytest.param("m(x0,i(x0))", "e", None, id="fixed-constant"),
+    pytest.param("m(x4,i(x4))", "e", None, id="cycling-constant"),
+    # a unary polynomial m(x0, -) beside a kept column
+    pytest.param("f(m(x0,x3),x4)", "f(m(x3,x0),x4)", None, id="mixed"),
+    # an int broadcast beside two kept columns
+    pytest.param("p(x0,x3,x4)", "f(x0,m(x4,x3))", None, id="ternary"),
+    pytest.param("f(x0,x1)", "g(x0,x1)", lambda a, b: (a, b, 0, 0, 0), id="fixed-fails"),
+    pytest.param(
+        "m(x1,f(x0,x4))", "m(x1,g(x0,x4))", lambda a, b: (a, 0, 0, 0, b), id="unary-fails"
+    ),
+    pytest.param(
+        "p(x0,x3,x4)", "g(x0,m(x3,x4))", lambda a, b: (a, 0, 0, 0, b), id="ternary-fails"
+    ),
+    pytest.param(
+        "m(m(x2,i(x2)),k(x0,x3))", "e", lambda a, b: (a, 0, 0, b, 0), id="constant-side-fails"
+    ),
+    pytest.param(
+        "m(f(m(x0,x3),x4),k(x0,x4))", "f(m(x3,x0),x4)", lambda a, b: (a, 0, 0, 0, b),
+        id="mixed-fails",
+    ),
+    pytest.param(
+        "m(u(m(x3,x4)),f(x0,x4))", "m(u(m(x4,x3)),g(x0,x4))", lambda a, b: (a, 0, 0, 0, b),
+        id="kept-fails",
+    ),
+]
+
+
+@pytest.mark.parametrize("lhs, rhs, least", STEP_LAWS)
+@pytest.mark.parametrize("size", [3, 5])
+@pytest.mark.parametrize("cap", ["aligned", "one-digit", "past-the-cap"])
+def test_each_step_kind_agrees_with_the_oracle_in_late_blocks(lhs, rhs, least, size, cap):
+    """Laws whose sides mix subterms over the fixed digits alone, the
+    cycling ones alone, both, and constants; those that fail are planted
+    in a late block, all but one mid-block.  Each runs in both column
+    representations (p/3 puts a scan on lists at 5 elements anyway).  A
+    cap of size^2 fixes x0, x1 and x2 over each aligned block, one of size
+    fixes x3 too, and one of size - 1 puts the carrier past the cap."""
+    a, b = size - 1, 1
+    algebra = planted(size, a, b)
+    eq = parse_equation(algebra.signature, [f"x{i}" for i in range(5)], lhs, rhs)
+    want = oracles.least_violation(algebra, eq)
+    assert want == (least and least(a, b))
+    block = {"aligned": size ** 2, "one-digit": size, "past-the-cap": size - 1}[cap]
+    for byte_bits in (equations._BYTE_BITS, 0):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(equations, "_SCALAR_HEAD", 1)
+            patch.setattr(equations, "_BLOCK_CAP", block)
+            patch.setattr(equations, "_BYTE_BITS", byte_bits)
+            got = find_violation(algebra, eq)
+        assert got == want, byte_bits
+
+
+def test_aligned_blocks_keep_the_columns_over_the_cycling_digits_alone(monkeypatch):
+    # a side over x3 and x4 alone folds to one kept column, the same object
+    # in every aligned block; a side over x0 as well is built anew in each
+    # (p packs its three arguments, so that no translate hands back its own
+    # argument, as an identity map does)
+    algebra = planted(3, 2, 1)
+    names = [f"x{i}" for i in range(5)]
+    sides = []
+
+    def spied(step, term):
+        column = fold(step, term)
+        sides.append(column)
+        return column
+
+    monkeypatch.setattr(equations, "_SCALAR_HEAD", 1)
+    monkeypatch.setattr(equations, "_BLOCK_CAP", 9)
+    monkeypatch.setattr(equations, "fold", spied)
+    for lhs, rhs, objects in [
+        ("f(x3,x4)", "f(x3,x4)", 1),
+        ("p(x0,x3,x4)", "f(x0,m(x4,x3))", 26),
+    ]:
+        sides.clear()
+        assert find_violation(algebra, parse_equation(algebra.signature, names, lhs, rhs)) is None
+        # two bands, [1, 3) and [3, 9), then 26 aligned blocks of 9; the
+        # spy holds every column, so no id is reused
+        assert len(sides) == 2 * 28
+        assert len({id(column) for column in sides[4::2]}) == objects
 
 
 # ------------------------------------------------------------ transport of structure
