@@ -8,18 +8,19 @@ mixed-radix lexicographic order with the leftmost variable most
 significant, which makes the reported counterexample the least one.  The
 sides written one after the other form an Ok(2) oplist, and one pass
 yields both values.  The scalar loop runs per assignment, variable i
-having the one-entry table (value,), over a whole space of at most 64
-assignments and over the head of a larger one, the least power c^w of the
-carrier size c with (c - 1) * c^w >= 64.  Then each band [c^k, c^(k+1)),
-and past 10^4 each aligned block of at most 10^4, is one `fold` of each
-side in the power of the algebra, whose elements are ints (constants, and
-digits fixed over the block) and columns; a step on one column is a unary
-polynomial.  With b = (c - 1).bit_length(), when each symbol used has an
-arity a with a * b <= 8 (unary up to 256 elements, binary up to 16,
-ternary up to 4), columns are bytes: a unary polynomial is then one
-`bytes.translate`, and a step on more columns packs them into an int with
-b-bit lanes inside each byte and translates that; other carriers take
-lists.  Aligned blocks differ only in their fixed digits, so the columns
+having the one-entry table (value,), over a space of at most 64
+assignments.  A larger one is scanned from assignment 0 in blocks [0, c),
+[c, c^2), ... up to the largest power of the carrier size c within 10^4,
+then in aligned blocks of that power (past 10^4 elements, blocks of at
+most 10^4); a block is one `fold` of each side in the power of the
+algebra, whose elements are ints (constants, and digits fixed over the
+block) and columns; a step on one column is a unary polynomial.  With
+b = (c - 1).bit_length(), when each symbol used has an arity a with
+a * b <= 8 (unary up to 256 elements, binary up to 16, ternary up to 4),
+columns are bytes: a unary polynomial is then one `bytes.translate`,
+and a step on more columns packs them into an int with b-bit lanes
+inside each byte and translates that; other carriers take lists.
+Aligned blocks differ only in their fixed digits, so the columns
 of the others, and each node over these alone, are built once.  A theory
 builds one extended signature per distinct variable list, which its
 equations with that list share.
@@ -54,9 +55,9 @@ from .terms import Term, fold, format_term
 DEFAULT_BUDGET = 10 ** 7
 
 # A column pass of any length costs several scalar ones, so a space of at most
-# _SCALAR_HEAD assignments and the head of a larger one stay scalar; no column
-# block is longer than _BLOCK_CAP, which bounds the memory a scan holds.
-_SCALAR_HEAD = 64
+# _SCALAR_SPACE assignments stays scalar; no column block is longer than
+# _BLOCK_CAP, which bounds the memory a scan holds.
+_SCALAR_SPACE = 64
 _BLOCK_CAP = 10 ** 4
 # The bits of a byte: a scan's columns are bytes when the arguments of each
 # symbol it uses pack into one
@@ -213,42 +214,31 @@ def find_violation(
         raise BudgetExceededError(
             f"{_shown(size)}^{n} assignments exceed budget {_shown(budget)}"
         )
-    arities = equation.lhs.signature._arities
     tables = algebra.tables
+    if total > _SCALAR_SPACE:
+        return _scan_columns(tables, size, n, equation, total)
+    arities = equation.lhs.signature._arities
     both = equation.lhs.ops + equation.rhs.ops  # status Ok(2)
-    values = size
-    head = total
-    if total > _SCALAR_HEAD:
-        # the least power of size whose next band holds _SCALAR_HEAD
-        head = 1
-        while (size - 1) * head < _SCALAR_HEAD:
-            head *= size
-        values = min(size, head)  # the head reaches no value from here on
     # each assignment as the variables' one-entry tables, in the same order
-    singletons = tuple((value,) for value in range(values))
-    assignments = itertools.product(singletons, repeat=n)
-    if head < total:
-        assignments = itertools.islice(assignments, head)
-    for extra in assignments:
+    singletons = tuple((value,) for value in range(size))
+    for extra in itertools.product(singletons, repeat=n):
         rhs, lhs = _evaluate_ops(arities, tables + extra, size, both)
         if lhs != rhs:
             return tuple(value for (value,) in extra)
-    if head < total:
-        return _scan_columns(tables, size, n, equation, head, total)
     return None
 
 
-def _scan_columns(tables, size, n, equation, start, total):
-    # the assignments from `start`, a power of size, on: bands while one fits
-    # _BLOCK_CAP, then aligned blocks of the largest power of size within it
-    # (past the cap, blocks within one run of the last digit); columns are
-    # bytes when every symbol's arguments, in `bits`-bit lanes, fit a byte
+def _scan_columns(tables, size, n, equation, total):
+    # every assignment from 0 on, in blocks [0, c), [c, c^2), ... up to
+    # `aligned`, the largest power of the carrier size c within _BLOCK_CAP,
+    # then aligned blocks of that length (past the cap, blocks of at most
+    # _BLOCK_CAP within one run of the last digit); columns are bytes when
+    # every symbol's arguments, in `bits`-bit lanes, fit a byte
     base = len(tables)
     arities = equation.lhs.signature._arities
     used = {op for op in equation.lhs.ops + equation.rhs.ops if op < base}
     bits = (size - 1).bit_length()
-    degrees = [arities[op] for op in used]
-    packed = bits * max(degrees + [1]) <= _BYTE_BITS
+    packed = bits * max([arities[op] for op in used] + [1]) <= _BYTE_BITS
     # per symbol: its values by the digits of its arguments in base `radix`
     unit, radix, sources = (bytes, 1 << bits, {}) if packed else (list, size, tables)
     rows = {}  # binary tables as lists of rows, built on first use
@@ -268,7 +258,7 @@ def _scan_columns(tables, size, n, equation, start, total):
         op = symbol.index
         if not args:
             return values[op - base] if op >= base else tables[op][0]
-        if scalars and (len(args) == 1 or int in map(type, args)):
+        if len(args) == 1 or int in map(type, args):
             offset = stride = holes = 0
             for arg in args:
                 offset *= radix
@@ -318,17 +308,14 @@ def _scan_columns(tables, size, n, equation, start, total):
     aligned = 1
     while aligned * size <= _BLOCK_CAP:
         aligned *= size
+    span = aligned if aligned >= size else _BLOCK_CAP  # past the cap, aligned is 1
+    start = 0
     while start < total:
         # `count` runs of `step` assignments; start is a multiple of step
-        if (size - 1) * start <= _BLOCK_CAP:
-            step, count = start, size - 1
-        elif aligned < size:  # past the cap
-            step, count = 1, min(_BLOCK_CAP, size - start % size)
-        else:
-            step, count = aligned, 1
+        step = min(start, aligned) or 1
+        count = min(size - start // step % size, span // step)
         length = step * count
         reuse = length == aligned  # the blocks that differ only in their fixed digits
-        scalars = 0 in degrees or places[0] >= length  # an int can occur
         values = []
         for place in places:
             digit = start // place % size

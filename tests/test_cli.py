@@ -21,9 +21,11 @@ XOR_THEORY = str(DATA / "xor_theory.json")
 PROJ = str(DATA / "proj_sig.json")
 PROJ_ALG = str(DATA / "proj_alg.json")
 PROJ_THEORY = str(DATA / "proj_theory.json")
-# laws of 7 and 8 variables: 2^7 and 2^8 assignments, past the scalar head
+# laws of 7 and 8 variables: 2^7 and 2^8 assignments, in column blocks
 XOR_WIDE_THEORY = str(DATA / "xor_wide_theory.json")
 PROJ_WIDE_THEORY = str(DATA / "proj_wide_theory.json")
+# proj(x5,x6) = x6 in 7 variables: 2^7 assignments, failing at assignment 1
+PROJ_EARLY_THEORY = str(DATA / "proj_early_theory.json")
 # Z16 -> Z4 over m/2 i/1 e/0: a source large enough for the bytes compare
 GRP = str(DATA / "grp_sig.json")
 Z16 = str(DATA / "z16.json")
@@ -281,7 +283,17 @@ def test_sat_model_through_column_blocks(capsys):
 
 
 def test_sat_failure_on_the_first_column_block(capsys):
-    # assignment 64 = 2^6, the first one past the scalar head
+    # assignment 1, in the first block [0, 2)
+    assert_golden(
+        capsys,
+        ["sat", "--sig", PROJ, "--alg", PROJ_ALG, "--theory", PROJ_EARLY_THEORY],
+        1,
+        "fails early at (0,0,0,0,0,0,1)\n",
+    )
+
+
+def test_sat_failure_on_a_later_column_block(capsys):
+    # assignment 64 = 2^6, the first of the block [2^6, 2^7)
     assert_golden(
         capsys,
         ["sat", "--sig", PROJ, "--alg", PROJ_ALG, "--theory", PROJ_WIDE_THEORY],

@@ -204,14 +204,6 @@ def digits(size, n, index):
     return tuple(index // size ** (n - 1 - i) % size for i in range(n))
 
 
-def head_end(size):
-    # the scalar head: the least size^w with (size - 1) * size^w >= 64
-    power = 1
-    while (size - 1) * power < 64:
-        power *= size
-    return power
-
-
 def bands_end(size):
     # the first assignment past the bands: the least size^k with
     # (size - 1) * size^k > CAP
@@ -229,14 +221,16 @@ def cap_step(size):
     return power
 
 
-# one variable count per carrier, for spaces of 125 to 1024 assignments
-SMALL_SPACES = {2: 8, 3: 6, 4: 5, 5: 4}
+# one variable count per carrier, for spaces of 125 to 1024 assignments; at 2
+# and 16 elements the scan's columns are bytes, at 3 to 5 lists
+SMALL_SPACES = {2: 8, 3: 6, 4: 5, 5: 4, 16: 2}
 
 
 def boundary_cases():
     for size, n in SMALL_SPACES.items():
         total = size ** n
-        spots = {total - 1, head_end(size) - 1, head_end(size)}
+        # the edges of the first block [0, size) and of each later one
+        spots = {0, 1, size - 1, size, total - 1}
         for j in range(1, n):
             spots |= {size ** j - 1, size ** j}
         for index in sorted(spots):
@@ -248,7 +242,11 @@ def boundary_cases():
 def test_column_scan_finds_the_least_violation_on_block_boundaries(size, n, index):
     algebra, eq = marked(size, n, index)
     want = None if index is None else digits(size, n, index)
-    assert find_violation(algebra, eq) == oracles.least_violation(algebra, eq) == want
+    assert oracles.least_violation(algebra, eq) == want
+    for byte_bits in (equations._BYTE_BITS, 0):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(equations, "_BYTE_BITS", byte_bits)
+            assert find_violation(algebra, eq) == want, byte_bits
 
 
 # variable counts whose spaces reach past the bands into aligned blocks
@@ -282,7 +280,7 @@ def laws(draw):
 
 # x and not y: a binary table that is not commutative.  A column pass that
 # swapped the two arguments of a binary symbol would check each law's
-# mirror, the law with those arguments swapped, from the head on
+# mirror, the law with those arguments swapped
 DIFF = Signature([("f", 2)])
 DIFF_ALG = FiniteAlgebra(DIFF, 2, [[0, 0, 1, 0]])
 SEVEN = [f"x{i}" for i in range(7)]
@@ -291,41 +289,38 @@ SEVEN = [f"x{i}" for i in range(7)]
 @settings(max_examples=150, deadline=None)
 @given(
     law=laws(),
-    head=st.sampled_from([1, 2, 7, 64]),
+    scalar=st.sampled_from([1, 2, 7, 64]),
     cap=st.sampled_from([1, 2, 7, CAP]),
 )
-# holds in the projection algebra; its mirror fails at (0, 1), past a head of one
-@example(law=(PROJ_ALG, parse_equation(PROJ, ["x", "y"], "proj(x,y)", "x")), head=1, cap=CAP)
-# fails first at (0, 1), past a head of one; its mirror holds
-@example(law=(PROJ_ALG, parse_equation(PROJ, ["x", "y"], "proj(x,y)", "y")), head=1, cap=CAP)
-# fails first at assignment 64, the first past the default head; its mirror
-# holds there and from there on
-@example(law=(DIFF_ALG, parse_equation(DIFF, SEVEN, "f(x0,x1)", "f(x0,x0)")), head=64, cap=CAP)
-def test_every_scan_schedule_agrees_with_tree_oracle(law, head, cap):
-    """With small thresholds every schedule shape runs: a head of one
-    assignment, bands of one entry, aligned blocks as short as the
-    carrier, over carriers 1-3, arities 0-3 and 0-4 variables, in both
-    column representations: carriers 1-3 with arities up to 3 always pack
-    into bytes, and no bits to pack into forces lists.  The examples pin
-    the operand order of the column pass."""
+# holds in the projection algebra; its mirror fails at (0, 1), in the first
+# column block once the scalar loop takes one assignment at most
+@example(law=(PROJ_ALG, parse_equation(PROJ, ["x", "y"], "proj(x,y)", "x")), scalar=1, cap=CAP)
+# fails first at (0, 1), in the first column block; its mirror holds
+@example(law=(PROJ_ALG, parse_equation(PROJ, ["x", "y"], "proj(x,y)", "y")), scalar=1, cap=CAP)
+# fails first at assignment 64, the first of the block [2^6, 2^7); its
+# mirror holds there and from there on
+@example(law=(DIFF_ALG, parse_equation(DIFF, SEVEN, "f(x0,x1)", "f(x0,x0)")), scalar=64, cap=CAP)
+def test_every_scan_schedule_agrees_with_tree_oracle(law, scalar, cap):
+    """With small thresholds every schedule shape runs: column blocks from
+    a space of two assignments on, aligned blocks as short as the carrier
+    and carriers past the cap, over carriers 1-3, arities 0-3 and 0-4
+    variables, in both column representations: carriers 1-3 with arities
+    up to 3 always pack into bytes, and no bits to pack into forces lists.
+    The examples pin the operand order of the column pass."""
     algebra, eq = law
     want = oracles.least_violation(algebra, eq)
     for byte_bits in (equations._BYTE_BITS, 0):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(equations, "_SCALAR_HEAD", head)
+            patch.setattr(equations, "_SCALAR_SPACE", scalar)
             patch.setattr(equations, "_BLOCK_CAP", cap)
             patch.setattr(equations, "_BYTE_BITS", byte_bits)
             got = find_violation(algebra, eq)
         assert got == want, byte_bits
 
 
-def test_carrier_past_the_cap_is_scanned_in_blocks_within_the_cap(monkeypatch):
-    size = CAP + 3
-    sig = Signature([("s", 1)])
-    algebra = FiniteAlgebra(sig, size, [list(range(size - 1)) + [0]])
-    eq = parse_equation(sig, ["x"], "s(x)", "x")
+def fold_lengths(monkeypatch):
+    """A list that receives the length of each column the scan folds."""
     passes = []
-    fold = equations.fold
 
     def counted(step, term):
         column = fold(step, term)
@@ -333,10 +328,41 @@ def test_carrier_past_the_cap_is_scanned_in_blocks_within_the_cap(monkeypatch):
         return column
 
     monkeypatch.setattr(equations, "fold", counted)
+    return passes
+
+
+def test_carrier_past_the_cap_is_scanned_in_blocks_within_the_cap(monkeypatch):
+    size = CAP + 3
+    sig = Signature([("s", 1)])
+    algebra = FiniteAlgebra(sig, size, [list(range(size - 1)) + [0]])
+    eq = parse_equation(sig, ["x"], "s(x)", "x")
+    passes = fold_lengths(monkeypatch)
     assert find_violation(algebra, eq) == oracles.least_violation(algebra, eq) == (size - 1,)
-    # after a scalar head of one, blocks of at most the cap, not one of the
-    # carrier's length: [CAP, CAP, 2, 2], each block once per side
+    # blocks of at most the cap, not one of the carrier's length: [CAP, CAP,
+    # 3, 3], each block once per side
     assert passes and max(passes) <= equations._BLOCK_CAP
+
+
+@pytest.mark.parametrize(
+    "size, n, blocks",
+    [
+        # [0, c), [c, c^2), ... up to the aligned length, then aligned blocks
+        pytest.param(2, 15, [2] + [2 ** k for k in range(1, 13)] + [2 ** 13] * 3, id="c2"),
+        pytest.param(3, 9, [3] + [2 * 3 ** k for k in range(1, 8)] + [3 ** 8] * 2, id="c3"),
+        pytest.param(5, 6, [5] + [4 * 5 ** k for k in range(1, 5)] + [5 ** 5] * 4, id="c5"),
+        # past the cap: at most the cap within one run of the last digit
+        pytest.param(CAP + 3, 1, [CAP, 3], id="past-the-cap"),
+    ],
+)
+def test_column_blocks_run_from_assignment_zero(monkeypatch, size, n, blocks):
+    sig = Signature([("u", 1)])
+    algebra = FiniteAlgebra(sig, size, [list(range(size))])
+    last = f"x{n - 1}"  # cycles in every block, so each side folds to a column
+    eq = parse_equation(sig, [f"x{i}" for i in range(n)], f"u({last})", last)
+    passes = fold_lengths(monkeypatch)
+    assert find_violation(algebra, eq) is None
+    assert sum(blocks) == size ** n
+    assert passes[::2] == passes[1::2] == blocks
 
 
 def test_budget_is_checked_before_any_column_is_built(monkeypatch):
@@ -344,7 +370,7 @@ def test_budget_is_checked_before_any_column_is_built(monkeypatch):
         raise AssertionError("a column was built")
 
     monkeypatch.setattr(equations, "_scan_columns", unreachable)
-    algebra, eq = marked(2, 8, 200)  # 256 assignments, past the scalar head
+    algebra, eq = marked(2, 8, 200)  # 256 assignments, more than the scalar loop takes
     with pytest.raises(BudgetExceededError):
         find_violation(algebra, eq, budget=255)
     with pytest.raises(AssertionError, match="a column was built"):
@@ -354,12 +380,14 @@ def test_budget_is_checked_before_any_column_is_built(monkeypatch):
 # ------------------------------------------------------------ column representation
 
 def scanned(monkeypatch, algebra, eq):
-    """find_violation's result and the types of the columns its scan folded."""
+    """find_violation's result and the types of the columns its scan folded
+    (a side over fixed digits alone folds to an int, which is no column)."""
     kinds = set()
 
     def spied(step, term):
         column = fold(step, term)
-        kinds.add(type(column))
+        if type(column) is not int:
+            kinds.add(type(column))
         return column
 
     monkeypatch.setattr(equations, "fold", spied)
@@ -378,8 +406,9 @@ def near_miss(arity, size, index, extra=()):
 
 
 # (arity, carrier size, variables, entry of f that g changes, column type):
-# each packing bound, arity * bits <= 8, from both sides; the entry's
-# assignment is past the scalar head and not symmetric in its arguments
+# each packing bound, arity * bits <= 8, from both sides; each space is
+# larger than the scalar loop takes, and the entry is not symmetric in its
+# arguments
 PACKING = [
     pytest.param(1, 256, 1, 200, bytes, id="unary-256"),
     pytest.param(1, 257, 1, 200, list, id="unary-257"),
@@ -425,11 +454,11 @@ def test_one_symbol_past_its_packing_bound_puts_the_whole_scan_on_lists(monkeypa
     assert (got, kinds) == (oracles.least_violation(algebra, mixed), {list})
 
 
-def test_singletons_stop_at_the_head(tmp_path):
-    # a constants-only carrier of 10^6 elements under x = x: the scalar head
-    # is one assignment, so the scan builds one tuple per head value, not
-    # one per element (145 MB peak with those, 60 MB without), and blocks of
-    # at most _BLOCK_CAP, not one of 10^6 entries (16 MB; CPython 3.11)
+def test_a_large_carrier_is_scanned_in_bounded_memory(tmp_path):
+    # a constants-only carrier of 10^6 elements under x = x: its space goes
+    # to the column scan whole, so no tuple is built per element (145 MB
+    # peak with those), and blocks are at most _BLOCK_CAP, not one of 10^6
+    # entries (16 MB; CPython 3.11)
     sig = tmp_path / "sig.json"
     sig.write_text(json.dumps({"symbols": [{"name": "e", "arity": 0}]}))
     alg = tmp_path / "alg.json"
@@ -464,8 +493,8 @@ def test_singletons_stop_at_the_head(tmp_path):
 # In a column block a digit fixed over the block is an int and a cycling one
 # a column, so a step runs on ints alone, on one column (a unary polynomial
 # of the algebra) or on several; aligned blocks keep the columns over the
-# cycling digits alone.  With a scalar head of one and a cap of size^2, the
-# blocks over five variables fix x0, x1 and x2, and x3 and x4 cycle
+# cycling digits alone.  With a cap of size^2, the aligned blocks over five
+# variables fix x0, x1 and x2, and x3 and x4 cycle
 
 
 def planted(size, a, b):
@@ -541,7 +570,6 @@ def test_each_step_kind_agrees_with_the_oracle_in_late_blocks(lhs, rhs, least, s
     block = {"aligned": size ** 2, "one-digit": size, "past-the-cap": size - 1}[cap]
     for byte_bits in (equations._BYTE_BITS, 0):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(equations, "_SCALAR_HEAD", 1)
             patch.setattr(equations, "_BLOCK_CAP", block)
             patch.setattr(equations, "_BYTE_BITS", byte_bits)
             got = find_violation(algebra, eq)
@@ -562,7 +590,6 @@ def test_aligned_blocks_keep_the_columns_over_the_cycling_digits_alone(monkeypat
         sides.append(column)
         return column
 
-    monkeypatch.setattr(equations, "_SCALAR_HEAD", 1)
     monkeypatch.setattr(equations, "_BLOCK_CAP", 9)
     monkeypatch.setattr(equations, "fold", spied)
     for lhs, rhs, objects in [
@@ -571,7 +598,7 @@ def test_aligned_blocks_keep_the_columns_over_the_cycling_digits_alone(monkeypat
     ]:
         sides.clear()
         assert find_violation(algebra, parse_equation(algebra.signature, names, lhs, rhs)) is None
-        # two bands, [1, 3) and [3, 9), then 26 aligned blocks of 9; the
+        # two blocks, [0, 3) and [3, 9), then 26 aligned blocks of 9; the
         # spy holds every column, so no id is reused
         assert len(sides) == 2 * 28
         assert len({id(column) for column in sides[4::2]}) == objects
