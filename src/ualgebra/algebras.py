@@ -13,14 +13,16 @@ assignment, `equations` extends the algebra to the variables, which are
 arity-0 symbols, by one-entry tables holding their values.
 
 `check_homomorphism` scans each table once, one row at a time: a row fixes
-every argument but the last, and the target row of its mapped prefix is
-found once.  A row is compared entry by entry up to its first difference.
-An algebra of at most 256 elements also keeps its tables as `bytes`, and
-when both carriers fit and the source has at least `_ROW_MIN` elements, a
-row is first compared whole, mapped by `bytes.translate` in one C loop; only
-a row that differs is then read entry by entry.  The gate exists because
-each call pays a fixed cost for the translate tables that short rows
-cannot win back.
+every argument but the last, its target row at the mapped prefix is found
+once, and it is compared entry by entry up to its first difference.  An
+algebra of at most 256 elements also keeps its tables as `bytes`; when both
+carriers fit and the source has at least `_ROW_MIN` elements, a group of
+rows (every argument but the last two fixed) is first compared whole: its
+entries mapped by one `bytes.translate`, against the target rows at the
+images of its second-last argument, each pulled back by one translate and
+joined once per mapped prefix.  Only a group that differs is read entry by
+entry.  The gate exists because each call pays a fixed cost for the
+translate tables that short rows cannot win back.
 """
 
 from __future__ import annotations
@@ -45,16 +47,17 @@ from .terms import Term
 # a carrier of at most this many elements keeps a copy of its tables as
 # bytes, one element per byte
 _BYTE_CARRIER = 256
-# the least source carrier whose rows check_homomorphism compares as bytes.
-# Measured on Z_n -> Z_n/2 ring quotients (Python 3.11, 2 shared vCPUs, best
-# of 5, three rounds), as the speed of the bytes compare over the entry
-# compare: a full scan 1.4-1.6x at n = 8, 1.8-2.0x at 12, 2.5x at 16 (125
-# against 315 us) and 4.1-4.3x at 32; a violation at the first tuple of the
-# binary m 0.79-0.94x at 8, 0.85-1.14x at 12, 0.97-1.0x at 16 and
-# 1.06-1.13x at 32; one at the end of m's first row 0.59-0.85x, 0.82-0.98x,
-# 0.92-0.97x and 0.99-1.26x (about 6 us either way at 16).  So full scans
-# gain from 8 up, early exits only from about 32; 16 keeps the maps of a
-# search over all carrier maps (up to 8 elements) on the entry compare
+# the least source carrier whose groups of rows check_homomorphism compares
+# as bytes.  Measured on Z_n -> Z_n/2 ring quotients (Python 3.11, 2 shared
+# vCPUs, best of 5, three rounds), as the speed of the group compare over
+# the entry compare: a full scan 1.5-3.0x at n = 8, 4.6-4.8x at 12, 5.1-6.6x
+# at 16 (54-95 against 358-487 us) and 12.5-15x at 32; a violation at the
+# first tuple of the binary m 0.50-0.73x at 8, 0.49-0.62x at 12, 0.35-0.47x
+# at 16 and 0.41-0.44x at 32; one at the end of m's first row 0.32-0.50x,
+# 0.51-0.80x, 0.32-0.49x and 0.47-0.81x (7-8 against 15-24 us at 16).  So
+# full scans gain from 8 up and early exits lose a few us at every size;
+# 16 keeps the maps of a search over all carrier maps (up to 8 elements),
+# most of which exit early, on the entry compare
 _ROW_MIN = 16
 
 
@@ -240,16 +243,11 @@ def check_homomorphism(
     of the homomorphism condition, or None if the map commutes with every
     operation.
 
-    One loop over rows: a row of a symbol of arity a >= 1 fixes its first
-    a - 1 arguments, and its target row, at the mapped prefix, is found once.
-    The row is then compared entry by entry, source entry mapped against
-    the target row read at the mapped last argument, up to the first
-    difference.  When the source has at least `_ROW_MIN` elements and both
-    carriers at most 256, the whole row is first compared as bytes, mapped
-    by `bytes.translate`, and only a row that differs is read entry by
-    entry.  The gate keeps small sources off the bytes compare, whose
-    translate tables cost each call more than short rows win back (see
-    `_ROW_MIN`)."""
+    A row (every argument but the last fixed) is compared entry by entry
+    up to its first difference.  From `_ROW_MIN` source elements, with
+    both carriers at most 256, a group of rows (every argument but the
+    last two fixed) is first compared whole as bytes, and only a group
+    that differs is read row by row (see the module docstring)."""
     if source.signature != target.signature:
         raise SignatureMismatchError("algebras are over different signatures")
     mapping = tuple(mapping)
@@ -287,22 +285,43 @@ def check_homomorphism(
             if lhs != t_table[0]:
                 return HomViolation(sym, (), lhs, t_table[0])
             continue
-        start = 0
-        for prefix in itertools.product(range(s_size), repeat=sym.arity - 1):
-            k = 0
-            for x in prefix:
-                k = k * t_size + mapping[x]
-            k *= t_size  # the target row of the mapped prefix
-            if not by_bytes or (
-                s_table[start : start + s_size].translate(image)
-                != mapped.translate(t_table[k : k + t_size] + pad)
-            ):
-                # read up to the first difference; a bytes subscript is an int
-                for j in range(s_size):
-                    lhs = mapping[s_table[start + j]]
-                    rhs = t_table[k + mapping[j]]
-                    if lhs != rhs:
-                        return HomViolation(sym, prefix + (j,), lhs, rhs)
+        # the rows read entry by entry: below the gate all of them, each
+        # with `free` arguments before the last
+        prefix, k, start, free = (), 0, 0, sym.arity - 1
+        if by_bytes:
+            # a group fixes all but the last two arguments; the target's
+            # block at its mapped prefix k, pulled back, is joined once per k
+            free = min(free, 1)
+            group = s_size ** (free + 1)
+            seconds = mapping if free else (0,)  # a unary table is one row
+            joined = {}
+            for prefix in itertools.product(range(s_size), repeat=sym.arity - 1 - free):
+                k = 0
+                for x in prefix:
+                    k = k * t_size + mapping[x]
+                rhs = joined.get(k)
+                if rhs is None:
+                    rows = {}
+                    for j in set(seconds):
+                        at = (k * t_size + j) * t_size
+                        rows[j] = mapped.translate(t_table[at : at + t_size] + pad)
+                    rhs = joined[k] = b"".join(map(rows.__getitem__, seconds))
+                if s_table[start : start + group].translate(image) != rhs:
+                    break
+                start += group
+            else:
+                continue
+        # read up to the first difference; a bytes subscript is an int
+        for tail in itertools.product(range(s_size), repeat=free):
+            row = k
+            for x in tail:
+                row = row * t_size + mapping[x]
+            row *= t_size  # the target row of the mapped prefix
+            for j in range(s_size):
+                lhs = mapping[s_table[start + j]]
+                rhs = t_table[row + mapping[j]]
+                if lhs != rhs:
+                    return HomViolation(sym, prefix + tail + (j,), lhs, rhs)
             start += s_size
     return None
 

@@ -219,8 +219,9 @@ def find_violation(
         return _scan_columns(tables, size, n, equation, total)
     arities = equation.lhs.signature._arities
     both = equation.lhs.ops + equation.rhs.ops  # status Ok(2)
-    # each assignment as the variables' one-entry tables, in the same order
-    singletons = tuple((value,) for value in range(size))
+    # each assignment as the variables' one-entry tables, in the same order;
+    # a ground equation has the one assignment () and needs none
+    singletons = tuple((value,) for value in range(size)) if n else ()
     for extra in itertools.product(singletons, repeat=n):
         rhs, lhs = _evaluate_ops(arities, tables + extra, size, both)
         if lhs != rhs:
@@ -244,7 +245,7 @@ def _scan_columns(tables, size, n, equation, total):
     rows = {}  # binary tables as lists of rows, built on first use
     unary = {}  # (symbol, int arguments) to the table of its unary polynomial
     kept = {}  # aligned blocks: the id of each column built once, to its lanes
-    memo = {}  # aligned blocks: (symbol, ids of kept arguments) to its column
+    memo = {}  # aligned blocks: (symbol index, ids of kept arguments) to its column
     for op in [op for op in used if packed and arities[op]]:
         keys = [0]  # the packed keys of all arguments but the last, in order
         for _ in range(arities[op] - 1):
@@ -295,7 +296,7 @@ def _scan_columns(tables, size, n, equation, total):
 
     def keeping(symbol, args):
         # the operation in aligned blocks: keeps each column over kept ones alone
-        key = (symbol, *map(id, args))
+        key = (symbol.index, *map(id, args))
         if key in memo:
             return memo[key]
         column = operation(symbol, args)

@@ -205,11 +205,12 @@ def test_mapping_rejects_bool():
 
 
 # ------------------------------------------------------------ row scan
-# check_homomorphism scans every table by rows; it compares a row as bytes
-# when the source has at least _ROW_MIN elements and both carriers at most
-# 256, and entry by entry otherwise, or to locate a difference.  These cases
-# sit on both sides of each bound and are checked against
-# oracles.least_hom_violation
+# check_homomorphism scans every table by rows, entry by entry, when the
+# source has fewer than _ROW_MIN elements or a carrier more than 256;
+# otherwise it compares a group of rows (every argument but the last two
+# fixed) as bytes, and reads rows entry by entry only to locate a
+# difference.  These cases sit on both sides of each bound and of each group
+# and are checked against oracles.least_hom_violation
 
 # every arity 0-3; constants and ternary between the others, so a planted
 # violation can sit behind a full scan of an earlier symbol
@@ -318,11 +319,83 @@ def test_row_path_around_the_byte_bound(sig, s_size, t_size, seed, plants):
     check_least_violation(sig, s_size, t_size, seed, plants)
 
 
-def check_least_violation(sig, s_size, t_size, seed, plants):
+# a 4-ary symbol: groups of s^2 entries, one per prefix of two arguments
+WIDE = Signature([("b", 2), ("c", 0), ("q", 4), ("u", 1)])
+
+
+def in_a_repeated_group(name, offset):
+    """Plants at row `offset` of the least group past 0 whose mapped prefix
+    is group 0's (or an earlier group's, if no other element shares the
+    image of 0), so the compare reads the block memoised for that prefix.
+    Group g's first row is g * s for a ternary symbol (prefix (g,)) and for
+    a 4-ary one (prefix (0, g))."""
+
+    def plants(mapping):
+        s = len(mapping)
+        g = next((x for x in range(1, s) if mapping[x] == mapping[0]), None)
+        if g is None:
+            g = next(x for x in range(s) if mapping[x] in mapping[:x])
+        return [(name, g * s + offset, "last")]
+
+    return plants
+
+
+@pytest.mark.parametrize("t_size", [2, 3])
+@pytest.mark.parametrize(
+    "plants",
+    [
+        [],
+        [("q", "first", "first")],
+        # the first entry of the second group: prefix (0, 1), row s
+        [("q", _ROW_MIN, "first")],
+        [("q", "last", "last"), ("u", "first", "first")],
+        in_a_repeated_group("q", 0),
+        in_a_repeated_group("q", _ROW_MIN - 1),
+    ],
+    ids=["hom", "first", "second-group", "last", "repeat-first-row", "repeat-last-row"],
+)
+@settings(max_examples=2, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_groups_of_a_4ary_symbol_at_the_gate(t_size, plants, seed):
+    check_least_violation(WIDE, _ROW_MIN, t_size, seed, plants)
+
+
+@pytest.mark.parametrize(
+    "plants",
+    [
+        # the first entry of the second group: prefix (1,), row s
+        [("t", _ROW_MIN, "first")],
+        in_a_repeated_group("t", 0),
+        in_a_repeated_group("t", _ROW_MIN // 2),
+    ],
+    ids=["second-group", "repeat-first-row", "repeat-mid-row"],
+)
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_groups_of_a_ternary_symbol_at_the_gate(plants, seed):
+    check_least_violation(MIXED, _ROW_MIN, 2, seed, plants)
+
+
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), plants=st.lists(PLANT, max_size=2))
+@example(seed=0, plants=[])
+@example(seed=1, plants=[("b", "last", "last")])
+def test_an_injection_reads_the_target_at_its_image_alone(seed, plants):
+    """16 -> 256: target rows are pulled back only at the image, so
+    changing every target entry off the image changes no verdict."""
+    check_least_violation(NARROW, _ROW_MIN, 256, seed, plants, off_image=True)
+
+
+def check_least_violation(sig, s_size, t_size, seed, plants, off_image=False):
     """The whole HomViolation, not only the verdict, equals the oracle's,
-    for a homomorphism and for the same map broken at planted entries."""
+    for a homomorphism and for the same map broken at planted entries
+    (`plants` may be a function of the map).  With `off_image`, so does
+    the HomViolation against the target changed at every entry outside
+    the image."""
     rng = random.Random(seed)
     source, target, mapping = hom_case(rng, sig, s_size, t_size)
+    if callable(plants):
+        plants = plants(mapping)
     plants = [p for p in plants if p[0] in {sym.name for sym in sig.symbols}]
     unbroken = [tuple(table) for table in source]
     for name, row, col in plants:
@@ -343,6 +416,15 @@ def check_least_violation(sig, s_size, t_size, seed, plants):
         assert not plants
     else:
         assert (got.symbol, got.args, got.lhs, got.rhs) == want
+    if off_image:
+        image = set(mapping)
+        changed = [
+            [v if set(args) <= image else (v + 1) % t_size
+             for args, v in zip(itertools.product(range(t_size), repeat=sym.arity), table)]
+            for sym, table in zip(sig.symbols, target)
+        ]
+        assert changed != target
+        assert check_homomorphism(src, FiniteAlgebra(sig, t_size, changed), mapping) == got
 
 
 # ------------------------------------------------------------ transport of structure

@@ -47,6 +47,9 @@ FG_LATE_THEORY = str(DATA / "fg_late_theory.json")
 RING = str(DATA / "ring_sig.json")
 Z12_RING = str(DATA / "z12_ring.json")
 Z4_RING = str(DATA / "z4_ring.json")
+# Z16 -> Z4 over the same ring: at the gate, so t is compared a group of rows
+# (every argument but the last two fixed) at a time, as bytes
+Z16_RING = str(DATA / "z16_ring.json")
 
 
 def run(capsys, *argv):
@@ -200,6 +203,18 @@ def test_hom_counterexample_by_rows(capsys, changed, out):
 def test_hom_ternary_below_the_gate(capsys, times, code, out):
     mapping = ",".join(f"{x}:{times * x % 4}" for x in range(12))
     argv = ["hom", "--sig", RING, "--from", Z12_RING, "--to", Z4_RING, "--map", mapping]
+    assert_golden(capsys, argv, code, out)
+
+
+@pytest.mark.parametrize(
+    "times, code, out",
+    [(1, 0, "ok\n"), (3, 1, "counterexample: t(1,1,0): 3 != 1\n")],
+    ids=["x", "3x"],
+)
+def test_hom_ternary_above_the_gate(capsys, times, code, out):
+    # 3x mod 4 first breaks t in its second group, prefix (1,)
+    mapping = ",".join(f"{x}:{times * x % 4}" for x in range(16))
+    argv = ["hom", "--sig", RING, "--from", Z16_RING, "--to", Z4_RING, "--map", mapping]
     assert_golden(capsys, argv, code, out)
 
 

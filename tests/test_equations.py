@@ -459,13 +459,30 @@ def test_a_large_carrier_is_scanned_in_bounded_memory(tmp_path):
     # to the column scan whole, so no tuple is built per element (145 MB
     # peak with those), and blocks are at most _BLOCK_CAP, not one of 10^6
     # entries (16 MB; CPython 3.11)
+    status, out, peak_kib = sat_of_a_large_carrier(tmp_path, ["x"], "x")
+    assert (status, out) == (0, b"model\n")
+    assert peak_kib < 40 * 1024
+
+
+def test_a_ground_equation_builds_no_tuple_per_element(tmp_path):
+    # e = e has no variables: its one assignment () is checked by the
+    # scalar loop, which builds no singleton per element (99 MB peak with
+    # them, over this carrier of 10^6 elements)
+    status, out, peak_kib = sat_of_a_large_carrier(tmp_path, [], "e")
+    assert (status, out) == (0, b"model\n")
+    assert peak_kib < 40 * 1024
+
+
+def sat_of_a_large_carrier(tmp_path, variables, side):
+    """`ua sat` of side = side over a constants-only carrier of 10^6
+    elements, in a child process: its exit status, stdout and peak RSS."""
     sig = tmp_path / "sig.json"
     sig.write_text(json.dumps({"symbols": [{"name": "e", "arity": 0}]}))
     alg = tmp_path / "alg.json"
     alg.write_text(json.dumps({"carrier": 10 ** 6, "tables": {"e": [0]}}))
     theory = tmp_path / "theory.json"
     theory.write_text(json.dumps({"name": "t", "equations": [
-        {"label": "refl", "vars": ["x"], "lhs": "x", "rhs": "x"}
+        {"label": "refl", "vars": variables, "lhs": side, "rhs": side}
     ]}))
     # the child reports its own peak, in KiB on Linux
     code = (
@@ -485,8 +502,7 @@ def test_a_large_carrier_is_scanned_in_bounded_memory(tmp_path):
         capture_output=True,
         env={**os.environ, "PYTHONPATH": str(src)},
     )
-    assert (proc.returncode, proc.stdout) == (0, b"model\n")
-    assert int(proc.stderr) < 40 * 1024
+    return proc.returncode, proc.stdout, int(proc.stderr)
 
 
 # ------------------------------------------------------------ step kinds
