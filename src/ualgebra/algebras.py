@@ -20,9 +20,10 @@ carriers fit and the source has at least `_ROW_MIN` elements, a group of
 rows (every argument but the last two fixed) is first compared whole: its
 entries mapped by one `bytes.translate`, against the target rows at the
 images of its second-last argument, each pulled back by one translate and
-joined once per mapped prefix.  Only a group that differs is read entry by
-entry.  The gate exists because each call pays a fixed cost for the
-translate tables that short rows cannot win back.
+joined once per mapped prefix; before that join the group's first row
+alone is compared, so a difference there joins nothing.  Only a group that
+differs is read entry by entry.  The gate exists because each call pays a
+fixed cost for the translate tables that short rows cannot win back.
 """
 
 from __future__ import annotations
@@ -305,6 +306,9 @@ def check_homomorphism(
                     for j in set(seconds):
                         at = (k * t_size + j) * t_size
                         rows[j] = mapped.translate(t_table[at : at + t_size] + pad)
+                    # a first row that differs goes to the entry loop unjoined
+                    if s_table[start : start + s_size].translate(image) != rows[seconds[0]]:
+                        break
                     rhs = joined[k] = b"".join(map(rows.__getitem__, seconds))
                 if s_table[start : start + group].translate(image) != rhs:
                     break

@@ -4,32 +4,29 @@ theory (variety presentation) membership.
 Variables are ordinary arity-0 symbols appended to the base signature, so
 both sides of an equation are plain terms over the extended signature;
 `Equation` is the one check of that split.  Assignments enumerate in
-mixed-radix lexicographic order with the leftmost variable most
-significant, which makes the reported counterexample the least one.  The
-sides written one after the other form an Ok(2) oplist, and one pass
-yields both values.  The scalar loop runs per assignment, variable i
-having the one-entry table (value,), over a space of at most 64
-assignments.  A larger one is scanned from assignment 0 in blocks [0, c),
-[c, c^2), ... up to the largest power of the carrier size c within 10^4,
-then in aligned blocks of that power (past 10^4 elements, blocks of at
-most 10^4); a block is one `fold` of each side in the power of the
-algebra, whose elements are ints (constants, and digits fixed over the
-block) and columns; a step on one column is a unary polynomial.  With
-b = (c - 1).bit_length(), when each symbol used has an arity a with
-a * b <= 8 (unary up to 256 elements, binary up to 16, ternary up to 4),
-columns are bytes: a unary polynomial is then one `bytes.translate`,
-and a step on more columns packs them into an int with b-bit lanes
-inside each byte and translates that; other carriers take lists.
-Aligned blocks differ only in their fixed digits, so the columns
-of the others, and each node over these alone, are built once.  A theory
-builds one extended signature per distinct variable list, which its
-equations with that list share.
+mixed-radix lexicographic order with the leftmost variable most significant,
+which makes the reported counterexample the least one.  A space of at most 64
+assignments runs the scalar loop over the sides as one Ok(2) oplist, variable
+i being the one-entry table (value,).  A larger space is scanned from
+assignment 0 in blocks [0, c), [c, c^2), ... up to the largest power of the
+carrier size c within 10^4, then in aligned blocks of that power (past 10^4
+elements, blocks of at most 10^4).  Both sides compile once to one plan of
+steps over slots in the power of the algebra, a repeated subterm in one slot.
+Digits fixed over every block are ints and the others columns, so a step is a
+lookup, a unary polynomial (one column through one table) or a step on
+several columns.  With b = (c - 1).bit_length(), when each symbol used has an
+arity a with a * b <= 8 (unary up to 256 elements, binary up to 16, ternary
+up to 4), columns are bytes: a unary polynomial is one `bytes.translate`, and
+a step on several columns translates their b-bit lanes packed into one int;
+other carriers take lists.  Aligned blocks share their columns, and their
+fixed digits advance like an odometer, so a step re-runs only if it reads a
+digit from the first one that changed on; a kept column keeps its packed int.
+A theory builds one extended signature per variable list.
 """
 
 from __future__ import annotations
 
 import itertools
-from operator import getitem
 from typing import Sequence
 
 from .algebras import (
@@ -49,7 +46,7 @@ from .errors import (
 )
 from .signature import OpSymbol, Signature
 from .syntax import parse_term
-from .terms import Term, fold, format_term
+from .terms import Term, format_term
 
 # Default cap on carrier_size ** context_size per satisfaction check.
 DEFAULT_BUDGET = 10 ** 7
@@ -230,22 +227,14 @@ def find_violation(
 
 
 def _scan_columns(tables, size, n, equation, total):
-    # every assignment from 0 on, in blocks [0, c), [c, c^2), ... up to
-    # `aligned`, the largest power of the carrier size c within _BLOCK_CAP,
-    # then aligned blocks of that length (past the cap, blocks of at most
-    # _BLOCK_CAP within one run of the last digit); columns are bytes when
-    # every symbol's arguments, in `bits`-bit lanes, fit a byte
     base = len(tables)
     arities = equation.lhs.signature._arities
-    used = {op for op in equation.lhs.ops + equation.rhs.ops if op < base}
+    both = equation.lhs.ops + equation.rhs.ops
+    used = {op for op in both if op < base}
     bits = (size - 1).bit_length()
     packed = bits * max([arities[op] for op in used] + [1]) <= _BYTE_BITS
     # per symbol: its values by the digits of its arguments in base `radix`
-    unit, radix, sources = (bytes, 1 << bits, {}) if packed else (list, size, tables)
-    rows = {}  # binary tables as lists of rows, built on first use
-    unary = {}  # (symbol, int arguments) to the table of its unary polynomial
-    kept = {}  # aligned blocks: the id of each column built once, to its lanes
-    memo = {}  # aligned blocks: (symbol index, ids of kept arguments) to its column
+    unit, radix, sources = (bytes, 1 << bits, list(tables)) if packed else (list, size, tables)
     for op in [op for op in used if packed and arities[op]]:
         keys = [0]  # the packed keys of all arguments but the last, in order
         for _ in range(arities[op] - 1):
@@ -253,90 +242,101 @@ def _scan_columns(tables, size, n, equation, total):
         sources[op] = translation = bytearray(256)
         for i, key in enumerate(keys):
             translation[key << bits:(key << bits) + size] = tables[op][i * size:i * size + size]
-
-    def operation(symbol, args):
-        # the operation of the power algebra; an int stands for its diagonal element
-        op = symbol.index
-        if not args:
-            return values[op - base] if op >= base else tables[op][0]
-        if len(args) == 1 or int in map(type, args):
-            offset = stride = holes = 0
-            for arg in args:
-                offset *= radix
-                stride *= radix
-                if type(arg) is int:
-                    offset += arg
-                else:
-                    column, stride, holes = arg, 1, holes + 1
-            if not holes:
-                return sources[op][offset]
-            if holes == 1:  # a unary polynomial, its table built once
-                table = unary.get((op, offset, stride))
-                if table is None:
-                    table = sources[op][offset::stride]
-                    table = unary[op, offset, stride] = table.ljust(256) if packed else table
-                return column.translate(table) if packed else list(map(table.__getitem__, column))
-            args = [unit((v,)) * length if type(v) is int else v for v in args]
-        if packed:
-            lanes = 0
-            for arg in args:
-                lanes <<= bits
-                lanes |= reuse and kept.get(id(arg)) or int.from_bytes(arg, "little")
-            return lanes.to_bytes(length, "little").translate(sources[op])
-        if len(args) == 2:
-            if op not in rows:
-                table = tables[op]
-                rows[op] = [table[i:i + size] for i in range(0, size * size, size)]
-            x, y = args
-            return list(map(getitem, map(rows[op].__getitem__, x), y))
-        index = args[0]
-        for column in args[1:]:
-            index = [i * size + v for i, v in zip(index, column)]
-        return list(map(tables[op].__getitem__, index))
-
-    def keeping(symbol, args):
-        # the operation in aligned blocks: keeps each column over kept ones alone
-        key = (symbol.index, *map(id, args))
-        if key in memo:
-            return memo[key]
-        column = operation(symbol, args)
-        if type(column) is not int and all(map(kept.__contains__, key[1:])):
-            memo[key] = column
-            kept[id(column)] = packed and int.from_bytes(column, "little")
-        return column
-
     places = [size ** (n - 1 - i) for i in range(n)]
     aligned = 1
     while aligned * size <= _BLOCK_CAP:
         aligned *= size
     span = aligned if aligned >= size else _BLOCK_CAP  # past the cap, aligned is 1
-    start = 0
+    # the plan: steps (slot, symbol, int arguments, column arguments), each
+    # argument as (slot, weight in the symbol's table); variable i is slot i,
+    # an int for i < fixed.  reads[slot]: bit 0, bit i + 1 if it reads var i
+    fixed = sum(place >= span for place in places)
+    reads = [2 << i for i in range(n)]
+    program, slots, stack, lanes_of = [], {}, [], set()
+    for op in reversed(both):
+        if op >= base:
+            stack.append(op - base)
+            continue
+        key = (op, *stack[len(stack) - arities[op]:])  # the arguments, last first
+        del stack[len(stack) - len(key) + 1:]
+        if key not in slots:
+            slots[key] = len(reads)
+            weight, ints, columns, read = 1, [], [], 1
+            for arg in key[1:]:
+                (columns if reads[arg] >> fixed + 1 else ints).append((arg, weight))
+                weight, read = weight * radix, read | reads[arg]
+            if len(columns) > 1 and packed:  # these keep their lanes as one int
+                lanes_of.update([arg for arg, _ in columns])
+            program.append((len(reads), op, ints, columns))
+            reads.append(read)
+        stack.append(slots[key])
+    rhs, lhs = stack
+    values, lanes, plans, partials = [None] * len(reads), [None] * len(reads), {}, {}
+    start = length = 0
     while start < total:
-        # `count` runs of `step` assignments; start is a multiple of step
+        # `count` runs of `step` assignments; start is a multiple of step.
+        # A step runs if it reads a digit from `changed` on (-1: new columns)
         step = min(start, aligned) or 1
         count = min(size - start // step % size, span // step)
+        new = step * count != aligned or length != aligned
         length = step * count
-        reuse = length == aligned  # the blocks that differ only in their fixed digits
-        values = []
-        for place in places:
+        digits = [start // place % size for place in places[:fixed]]
+        changed = -1 if new else next((i for i in range(fixed) if digits[i] != values[i]), fixed)
+        values[:fixed] = digits
+        if changed not in plans:
+            rerun = (1 << fixed + 1) - (1 << changed + 1)
+            plans[changed] = [entry for entry in program if reads[entry[0]] & rerun]
+        for i in range(fixed, n) if new else ():
+            place = places[i]
             digit = start // place % size
-            if place >= length:  # fixed over the block
-                values.append(digit)
-            elif reuse and memo:  # past the first aligned block, memo alone holds it
-                values.append(None)
-            else:
+            if place >= length:  # fixed over this block alone
+                values[i] = unit((digit,)) * length
+            else:  # runs of `place` equal digits, repeated
                 runs = range(digit, digit + count if place == step else size)
                 parts = (unit((v,)) * place for v in runs)
                 column = b"".join(parts) if packed else list(itertools.chain.from_iterable(parts))
-                values.append(column * (length // len(column)))
-        power = keeping if reuse else operation
-        lhs, rhs = fold(power, equation.lhs), fold(power, equation.rhs)
-        if lhs != rhs:  # an int and a column may yet agree
-            lhs, rhs = (unit((v,)) * length if type(v) is int else v for v in (lhs, rhs))
-            at = next((i for i, (x, y) in enumerate(zip(lhs, rhs)) if x != y), None)
-            if at is not None:
-                return tuple((start + at) // place % size for place in places)
+                values[i] = column * (length // len(column))
+            if i in lanes_of:
+                lanes[i] = int.from_bytes(values[i], "little")
+        for slot, op, ints, columns in plans[changed]:
+            offset = 0
+            for arg, weight in ints:
+                offset += values[arg] * weight
+            if not columns:
+                values[slot] = sources[op][offset]
+                continue
+            if len(columns) == 1:  # a unary polynomial of the algebra
+                (arg, stride), = columns
+                column = values[arg]
+            elif packed:  # one column of packed lanes
+                stride, column = 1, 0
+                for arg, weight in columns:  # a product with 1 would copy
+                    column |= lanes[arg] * weight if weight > 1 else lanes[arg]
+                column = column.to_bytes(length, "little")
+            else:
+                stride = 1
+                column = map(sum, zip(*[map(w.__mul__, values[a]) for a, w in columns]))
+            table = partials.get((op, offset, stride))
+            if table is None:
+                table = sources[op][offset::stride]
+                table = partials[op, offset, stride] = table.ljust(256) if packed else table
+            values[slot] = column = (
+                column.translate(table) if packed else list(map(table.__getitem__, column))
+            )
+            if slot in lanes_of:
+                lanes[slot] = int.from_bytes(column, "little")
+        at = _differ_at(length, values[lhs], values[rhs])
+        if at is not None:
+            return tuple((start + at) // place % size for place in places)
         start += length
+    return None
+
+
+def _differ_at(length, lhs, rhs):
+    # the first index where a block's sides differ, or None (an int: `length` copies)
+    if lhs != rhs:
+        lhs, rhs = ([v] * length if type(v) is int else v for v in (lhs, rhs))
+        return next((i for i, (x, y) in enumerate(zip(lhs, rhs)) if x != y), None)
     return None
 
 

@@ -26,8 +26,9 @@ __all__ = ["parse_term", "format_term"]
 
 # a delimiter, or a maximal run of anything else that is not whitespace
 _TOKEN = re.compile(r"[(),]|[^\s(),]+")
-# the second kind of token alone: the names in the text
-_NAME = re.compile(r"[^\s(),]+")
+# the delimiters as spaces: splitting the text then yields the second kind
+# of token alone, the names (regex \s and str.split's whitespace agree)
+_SPACED = str.maketrans("(),", "   ")
 
 
 def _offset(text: str, k: int) -> int:
@@ -51,7 +52,7 @@ def parse_term(signature: Signature, text: str) -> Term:
     depth is unbounded.
     """
     try:
-        ops = tuple(map(signature._by_name.__getitem__, _NAME.findall(text)))
+        ops = tuple(map(signature._by_name.__getitem__, text.translate(_SPACED).split()))
     except KeyError:
         pass
     else:

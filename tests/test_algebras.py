@@ -376,6 +376,33 @@ def test_groups_of_a_ternary_symbol_at_the_gate(plants, seed):
     check_least_violation(MIXED, _ROW_MIN, 2, seed, plants)
 
 
+# a group's first row is compared before the rest of the group is joined:
+# plants in the first row of the first group, which the first-row compare
+# finds, and in the last row of a group, whose first row agrees
+@pytest.mark.parametrize(
+    "sig, t_size, plants",
+    [
+        (NARROW, 256, [("b", 0, _ROW_MIN // 2)]),
+        (MIXED, 2, [("b", 0, "last")]),
+        (MIXED, 3, [("t", 0, _ROW_MIN // 2)]),
+        (WIDE, 2, [("q", 0, "last")]),
+        (NARROW, 256, [("b", _ROW_MIN - 1, "first")]),
+        (MIXED, 2, [("b", _ROW_MIN - 1, "last")]),
+        (MIXED, 3, [("t", _ROW_MIN - 1, "first")]),
+        (MIXED, 2, [("t", 2 * _ROW_MIN - 1, "last")]),
+        (WIDE, 3, [("q", _ROW_MIN - 1, _ROW_MIN // 2)]),
+    ],
+    ids=[
+        "first-row-b-256", "first-row-b", "first-row-t", "first-row-q",
+        "last-row-b-256", "last-row-b", "last-row-t", "last-row-t-group-1", "last-row-q",
+    ],
+)
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_a_group_is_compared_from_its_first_row(sig, t_size, plants, seed):
+    check_least_violation(sig, _ROW_MIN, t_size, seed, plants)
+
+
 @settings(max_examples=3, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), plants=st.lists(PLANT, max_size=2))
 @example(seed=0, plants=[])

@@ -42,6 +42,10 @@ FG = str(DATA / "fg_sig.json")
 FG16 = str(DATA / "fg16.json")
 FG17 = str(DATA / "fg17.json")
 FG_LATE_THEORY = str(DATA / "fg_late_theory.json")
+# f(x0,x4) = g(x0,x4) over five variables: aligned blocks fix x0 and x1, and
+# the least violation (5,0,0,0,9) sits in the first block after x1 carries
+# into x0, the slow fixed digit, which alone of the two the sides read
+FG_CARRY_THEORY = str(DATA / "fg_carry_theory.json")
 # Z12 -> Z4 over e/0 i/1 m/2 t/3, t(x,y,z) = xy + z: a ternary symbol on a
 # source below the bytes gate (_ROW_MIN), its rows compared entry by entry
 RING = str(DATA / "ring_sig.json")
@@ -343,6 +347,16 @@ def test_sat_failure_mid_block_in_a_late_aligned_block(capsys, alg):
         ["sat", "--sig", FG, "--alg", alg, "--theory", FG_LATE_THEORY],
         1,
         "fails fg at (5,0,0,9)\n",
+    )
+
+
+@pytest.mark.parametrize("alg", [FG16, FG17], ids=["bytes-16", "lists-17"])
+def test_sat_failure_right_after_a_carry_of_a_slow_fixed_digit(capsys, alg):
+    assert_golden(
+        capsys,
+        ["sat", "--sig", FG, "--alg", alg, "--theory", FG_CARRY_THEORY],
+        1,
+        "fails fg at (5,0,0,0,9)\n",
     )
 
 

@@ -30,7 +30,7 @@ from ualgebra.errors import (
     UAlgebraError,
 )
 from ualgebra.signature import Signature
-from ualgebra.terms import Term, enumerate_terms, fold
+from ualgebra.terms import Term, enumerate_terms
 
 import oracles
 from corpus import N4, NAT, small_algebras
@@ -318,17 +318,18 @@ def test_every_scan_schedule_agrees_with_tree_oracle(law, scalar, cap):
         assert got == want, byte_bits
 
 
-def fold_lengths(monkeypatch):
-    """A list that receives the length of each column the scan folds."""
-    passes = []
+def compared(monkeypatch):
+    """A list that receives, for each block the scan compares, its length
+    and its two side values (a side over fixed digits alone is an int)."""
+    blocks = []
+    differ_at = equations._differ_at
 
-    def counted(step, term):
-        column = fold(step, term)
-        passes.append(len(column))
-        return column
+    def spied(length, lhs, rhs):
+        blocks.append((length, lhs, rhs))
+        return differ_at(length, lhs, rhs)
 
-    monkeypatch.setattr(equations, "fold", counted)
-    return passes
+    monkeypatch.setattr(equations, "_differ_at", spied)
+    return blocks
 
 
 def test_carrier_past_the_cap_is_scanned_in_blocks_within_the_cap(monkeypatch):
@@ -336,11 +337,12 @@ def test_carrier_past_the_cap_is_scanned_in_blocks_within_the_cap(monkeypatch):
     sig = Signature([("s", 1)])
     algebra = FiniteAlgebra(sig, size, [list(range(size - 1)) + [0]])
     eq = parse_equation(sig, ["x"], "s(x)", "x")
-    passes = fold_lengths(monkeypatch)
+    blocks = compared(monkeypatch)
     assert find_violation(algebra, eq) == oracles.least_violation(algebra, eq) == (size - 1,)
-    # blocks of at most the cap, not one of the carrier's length: [CAP, CAP,
-    # 3, 3], each block once per side
-    assert passes and max(passes) <= equations._BLOCK_CAP
+    # blocks of at most the cap, not one of the carrier's length: [CAP, 3],
+    # each side a column of the block's length
+    assert all(len(lhs) == len(rhs) == length for length, lhs, rhs in blocks)
+    assert blocks and max(length for length, _, _ in blocks) <= equations._BLOCK_CAP
 
 
 @pytest.mark.parametrize(
@@ -357,12 +359,13 @@ def test_carrier_past_the_cap_is_scanned_in_blocks_within_the_cap(monkeypatch):
 def test_column_blocks_run_from_assignment_zero(monkeypatch, size, n, blocks):
     sig = Signature([("u", 1)])
     algebra = FiniteAlgebra(sig, size, [list(range(size))])
-    last = f"x{n - 1}"  # cycles in every block, so each side folds to a column
+    last = f"x{n - 1}"  # cycles in every block, so each side is a column
     eq = parse_equation(sig, [f"x{i}" for i in range(n)], f"u({last})", last)
-    passes = fold_lengths(monkeypatch)
+    seen = compared(monkeypatch)
     assert find_violation(algebra, eq) is None
     assert sum(blocks) == size ** n
-    assert passes[::2] == passes[1::2] == blocks
+    assert [length for length, _, _ in seen] == blocks
+    assert [len(lhs) for _, lhs, _ in seen] == [len(rhs) for _, _, rhs in seen] == blocks
 
 
 def test_budget_is_checked_before_any_column_is_built(monkeypatch):
@@ -380,18 +383,13 @@ def test_budget_is_checked_before_any_column_is_built(monkeypatch):
 # ------------------------------------------------------------ column representation
 
 def scanned(monkeypatch, algebra, eq):
-    """find_violation's result and the types of the columns its scan folded
-    (a side over fixed digits alone folds to an int, which is no column)."""
-    kinds = set()
-
-    def spied(step, term):
-        column = fold(step, term)
-        if type(column) is not int:
-            kinds.add(type(column))
-        return column
-
-    monkeypatch.setattr(equations, "fold", spied)
-    return find_violation(algebra, eq), kinds
+    """find_violation's result and the types of the side columns its scan
+    compared (a side over fixed digits alone is an int, which is no column)."""
+    with monkeypatch.context() as patch:
+        blocks = compared(patch)
+        got = find_violation(algebra, eq)
+    kinds = {type(side) for _, *sides in blocks for side in sides if type(side) is not int}
+    return got, kinds
 
 
 def near_miss(arity, size, index, extra=()):
@@ -592,32 +590,71 @@ def test_each_step_kind_agrees_with_the_oracle_in_late_blocks(lhs, rhs, least, s
         assert got == want, byte_bits
 
 
+# The re-run rule: with a cap of the carrier size c, the aligned blocks over
+# x0, x1, x2 fix x0 and x1, and each plant puts the least violation in the
+# first block after a carry into x0 (block 3c, where x1 wraps to 0) or into
+# x1 alone (block 5), on steps that read a slow fixed digit alone, a
+# subterm repeated within a side and across the sides, and ground sides
+A, B, C = 3, 5, 7
+CARRY_LAWS = [
+    pytest.param("m(g(x0,x0),x2)", "m(f(x0,x0),x2)", (A, A), (A, 0, 0), id="x0-alone"),
+    pytest.param("m(g(x1,x1),x2)", "m(f(x1,x1),x2)", (B, B), (0, B, 0), id="x1-alone"),
+    pytest.param(
+        "m(m(x2,x2),g(x0,x2))", "m(m(x2,x2),f(x0,x2))", (A, C), (A, 0, C), id="x0-shared"
+    ),
+    pytest.param(
+        "m(m(x2,x2),g(x1,x2))", "m(m(x2,x2),f(x1,x2))", (B, C), (0, B, C), id="x1-shared"
+    ),
+    pytest.param("k(x0,x1)", "e", (A, 0), (A, 0, 0), id="x0-ground"),
+    pytest.param("m(k(x1,x2),m(e,i(e)))", "m(e,e)", (B, C), (0, B, C), id="x1-ground"),
+]
+
+
+@pytest.mark.parametrize("lhs, rhs, plant, least", CARRY_LAWS)
+@pytest.mark.parametrize(
+    "size, byte_bits, kind",
+    [(16, 8, bytes), (16, 0, list), (17, 8, list)],
+    ids=["bytes-16", "lists-16", "lists-17"],
+)
+def test_a_step_re_runs_in_the_first_block_after_a_carry(
+    monkeypatch, lhs, rhs, plant, least, size, byte_bits, kind
+):
+    algebra = planted(size, *plant)
+    eq = parse_equation(algebra.signature, ["x0", "x1", "x2"], lhs, rhs)
+    assert oracles.least_violation(algebra, eq) == least
+    monkeypatch.setattr(equations, "_BLOCK_CAP", size)
+    monkeypatch.setattr(equations, "_BYTE_BITS", byte_bits)
+    got, kinds = scanned(monkeypatch, algebra, eq)
+    # k(x0,x1) = e reads no cycling digit, so both its sides are ints
+    assert (got, kinds) == (least, {kind} if "x2" in lhs else set())
+
+
 def test_aligned_blocks_keep_the_columns_over_the_cycling_digits_alone(monkeypatch):
-    # a side over x3 and x4 alone folds to one kept column, the same object
-    # in every aligned block; a side over x0 as well is built anew in each
-    # (p packs its three arguments, so that no translate hands back its own
-    # argument, as an identity map does)
+    # a side over x3 and x4 alone is one kept column, the same object in
+    # every aligned block; a side that reads a fixed digit as well is built
+    # anew exactly when that digit changes (p packs its three arguments, so
+    # that no translate hands back its own argument, as an identity map does)
     algebra = planted(3, 2, 1)
     names = [f"x{i}" for i in range(5)]
-    sides = []
-
-    def spied(step, term):
-        column = fold(step, term)
-        sides.append(column)
-        return column
-
     monkeypatch.setattr(equations, "_BLOCK_CAP", 9)
-    monkeypatch.setattr(equations, "fold", spied)
-    for lhs, rhs, objects in [
-        ("f(x3,x4)", "f(x3,x4)", 1),
-        ("p(x0,x3,x4)", "f(x0,m(x4,x3))", 26),
+    blocks = compared(monkeypatch)
+    # aligned block k (1 to 26) starts at 9k: x0 = k // 9, x1 = k // 3 % 3
+    # and x2 = k % 3, so x0 changes at k = 9 and 18, x1 at every third k
+    # and x2 at every k
+    for lhs, rhs, renewed in [
+        ("f(x3,x4)", "f(x3,x4)", []),
+        ("p(x0,x3,x4)", "f(x0,m(x4,x3))", [9, 18]),
+        ("p(x1,x3,x4)", "f(x1,m(x4,x3))", list(range(3, 27, 3))),
+        ("p(x2,x3,x4)", "f(x2,m(x4,x3))", list(range(2, 27))),
     ]:
-        sides.clear()
+        blocks.clear()
         assert find_violation(algebra, parse_equation(algebra.signature, names, lhs, rhs)) is None
         # two blocks, [0, 3) and [3, 9), then 26 aligned blocks of 9; the
         # spy holds every column, so no id is reused
-        assert len(sides) == 2 * 28
-        assert len({id(column) for column in sides[4::2]}) == objects
+        assert [length for length, _, _ in blocks] == [3, 6] + [9] * 26
+        sides = [id(side) for _, side, _ in blocks[2:]]
+        assert [k for k in range(2, 27) if sides[k - 1] != sides[k - 2]] == renewed
+        assert len(set(sides)) == len(renewed) + 1
 
 
 # ------------------------------------------------------------ transport of structure

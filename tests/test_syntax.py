@@ -1,3 +1,5 @@
+import re
+import sys
 import tracemalloc
 
 import pytest
@@ -12,6 +14,7 @@ from ualgebra.errors import (
     UnknownSymbolError,
 )
 from ualgebra.signature import Signature
+from ualgebra import syntax
 from ualgebra.syntax import format_term, parse_term
 from ualgebra.terms import Term
 
@@ -192,6 +195,33 @@ def test_parser_agrees_with_reference_reader(sig, with_alias, data):
     else:
         text = _loosely_printed(data, data.draw(terms(sig)))
     assert _outcome(parse_term, sig, text) == _outcome(reference_parse_term, sig, text)
+
+
+# a name as the token reader reads one
+NAME = re.compile(r"[^\s(),]+")
+# characters that are whitespace to one Unicode table and not to another:
+# the separators \x1c-\x1f, NEL, no-break space and the ideographic space
+ODD_SPACES = ["\x1c", "\x1f", "\x85", "\u00a0", "\u3000"]
+
+
+def test_regex_and_str_split_agree_on_whitespace_at_every_code_point():
+    # the names-only read splits on str.split's whitespace, the token
+    # reader on regex \s: the two must be the one set of characters
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    split_off = set(every) - set("".join(every.split()))
+    assert split_off == set(re.findall(r"\s", every))
+    assert set(ODD_SPACES) <= split_off
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    text=st.text(
+        st.one_of(st.sampled_from(["(", ")", ",", "a", "b", " ", "\t", "\n"] + ODD_SPACES),
+                  st.characters())
+    )
+)
+def test_names_are_the_token_readers_names(text):
+    assert text.translate(syntax._SPACED).split() == NAME.findall(text)
 
 
 # texts that the reader rejects although their names, or their text with
