@@ -4,13 +4,9 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 """
 
 import itertools
-import json
 import random
-import subprocess
-import sys
 import time
 from contextlib import contextmanager
-from pathlib import Path
 
 from ualgebra.algebras import FiniteAlgebra, check_homomorphism
 from ualgebra.cli import main
@@ -21,9 +17,8 @@ from ualgebra.syntax import parse_term
 from ualgebra.terms import Term, build_term, depth, destructure, enumerate_terms, fold
 
 import oracles
+import smoke
 from corpus import CORPUS, N2, N4, NAT, algebra_for
-
-DATA = Path(__file__).parent / "data"
 
 
 @contextmanager
@@ -215,88 +210,11 @@ def test_criterion_7_equational_layer():
         assert find_violation(projection, comm) == (0, 1)
 
 
-GOLDEN_CLI = [
-    # (argv, exit code, exact stdout)
-    (["check", "--sig", "nat_sig.json", "s s s s z"], 0, "ok\n"),
-    (["check", "--sig", "nat_sig.json", "z s"], 1, "underflow at position 1\n"),
-    (["check", "--sig", "nat_sig.json", "z z"], 1, "not a term: 2 complete terms\n"),
-    (["depth", "--sig", "nat_sig.json", "s(s(s(s(z))))"], 0, "5\n"),
-    (["eval", "--sig", "nat_sig.json", "--alg", "n4.json", "s(s(s(s(z))))"], 0, "0\n"),
-    (
-        ["hom", "--sig", "nat_sig.json", "--from", "n4.json", "--to", "n2.json",
-         "--map", "0:0,1:1,2:0,3:1"],
-        0,
-        "ok\n",
-    ),
-    (
-        ["hom", "--sig", "nat_sig.json", "--from", "n4.json", "--to", "n2.json",
-         "--map", "0:0,1:0,2:0,3:0"],
-        1,
-        "counterexample: s(0): 0 != 1\n",
-    ),
-    (
-        ["sat", "--sig", "xor_sig.json", "--alg", "b2_xor.json",
-         "--theory", "xor_theory.json"],
-        0,
-        "model\n",
-    ),
-    (
-        ["sat", "--sig", "proj_sig.json", "--alg", "proj_alg.json",
-         "--theory", "proj_theory.json"],
-        1,
-        "fails comm at (0,1)\n",
-    ),
-    (["enum", "--sig", "nat_sig.json", "--max-len", "3"], 0, "z\ns(z)\ns(s(z))\n"),
-    (
-        ["depth", "--sig", "nat_sig.json", "--json", "s(s(s(s(z))))"],
-        0,
-        json.dumps({"command": "depth", "term": "s(s(s(s(z))))", "depth": 5}) + "\n",
-    ),
-]
-
-USAGE_CLI = [
-    ["depth", "--sig", "no_such_file.json", "z"],
-    ["check", "--sig", "nat_sig.json", "s q z"],
-    ["enum", "--sig", "nat_sig.json", "--max-len", "99"],
-]
-
-
-def test_criterion_8_cli_end_to_end(capsys):
+def test_criterion_8_cli_end_to_end(capsys, monkeypatch):
     with criterion(8, "CLI golden runs, all subcommands, both exit tiers"):
-        for argv, code, expected in GOLDEN_CLI:
-            argv = _qualify(argv)
-            outputs = []
-            for _ in range(2):
-                got = main(argv)
-                out = capsys.readouterr().out
-                assert got == code, (argv, got)
-                outputs.append(out.encode())
-            assert outputs[0] == outputs[1] == expected.encode(), argv
-        for argv in USAGE_CLI:
-            argv = _qualify(argv)
-            assert main(argv) == 2, argv
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err != ""
-        # one pair through a real process: byte-identical and exit code 0
-        argv = _qualify(["eval", "--sig", "nat_sig.json", "--alg", "n4.json",
-                         "--json", "s(z)"])
-        runs = [
-            subprocess.run(
-                [sys.executable, "-m", "ualgebra", *argv], capture_output=True
-            )
-            for _ in range(2)
-        ]
-        assert runs[0].returncode == runs[1].returncode == 0
-        assert runs[0].stdout == runs[1].stdout
-        assert json.loads(runs[0].stdout) == {
-            "command": "eval",
-            "term": "s(z)",
-            "value": 1,
-        }
-
-
-def _qualify(argv):
-    return [
-        str(DATA / arg) if arg.endswith(".json") else arg for arg in argv
-    ]
+        monkeypatch.chdir(smoke.ROOT)
+        for row in smoke.ROWS:
+            runs = [(main(list(row["argv"])), *capsys.readouterr()) for _ in range(2)]
+            assert runs[0] == runs[1], row["id"]
+            problem = smoke.difference(row, *runs[0])
+            assert problem is None, problem

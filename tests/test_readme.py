@@ -1,16 +1,22 @@
 """README's Python examples run as written, and every expression statement
-with a `# ...` comment has a repr that its comment begins with."""
+with a `# ...` comment has a repr that its comment begins with.  Every `ua`
+command line it shows is a row of the CLI golden table."""
 
 import ast
 import io
 import re
+import shlex
 import tokenize
 from pathlib import Path
 
 import pytest
 
+import smoke
+
 README = Path(__file__).resolve().parents[1] / "README.md"
-BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+TEXT = README.read_text(encoding="utf-8")
+BLOCKS = re.findall(r"^```python\n(.*?)^```", TEXT, re.M | re.S)
+SHELL = re.findall(r"^```sh\n(.*?)^```", TEXT, re.M | re.S)
 
 
 def comments(source):
@@ -39,3 +45,14 @@ def test_readme_example_states_its_results(source):
         else:
             exec(compile(ast.Module([statement], []), README.name, "exec"), namespace)
     assert checked
+
+
+def test_readme_cli_lines_are_golden_rows():
+    shown = [
+        shlex.split(line, comments=True)[1:]
+        for block in SHELL
+        for line in block.splitlines()
+        if line.startswith("ua ")
+    ]
+    rows = [row["argv"] for row in smoke.ROWS]
+    assert shown and [argv for argv in shown if argv not in rows] == []
