@@ -65,7 +65,9 @@ _ROW_MIN = 16
 class FiniteAlgebra:
     """A finite carrier with one total operation table per symbol."""
 
-    __slots__ = ("signature", "carrier_size", "tables", "_byte_tables")
+    # _scans: what the bytes column scans of `equations` keep of this
+    # algebra, made by the first of them (see equations._scan_columns)
+    __slots__ = ("signature", "carrier_size", "tables", "_byte_tables", "_scans")
 
     def __init__(self, signature: Signature, carrier_size: int, tables):
         if type(carrier_size) is bool or not (
@@ -98,6 +100,7 @@ class FiniteAlgebra:
         self._byte_tables = (
             tuple(map(bytes, tables)) if carrier_size <= _BYTE_CARRIER else None
         )
+        self._scans = None
 
     def apply(self, symbol, args: Sequence[int]) -> int:
         """Apply one operation table to a tuple of carrier elements."""
@@ -139,6 +142,13 @@ class FiniteAlgebra:
 
     def __repr__(self):
         return f"FiniteAlgebra(carrier={self.carrier_size}, over {self.signature!r})"
+
+    def __getstate__(self):
+        # a copy or a pickle starts with no scan caches, which can be tens
+        # of KB
+        state = {name: getattr(self, name) for name in self.__slots__}
+        state["_scans"] = None
+        return None, state
 
     def to_json(self) -> dict:
         return {

@@ -210,7 +210,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="ua", description="universal algebra kernel over finite signatures"
     )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    # not required: argparse would report a missing command before an
+    # unknown option (`ua --nope`), so `main` checks for one after parsing
+    sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
     p = sub.add_parser("check", parents=[common], help="validate oplists")
     p.add_argument(
@@ -268,6 +270,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command is None:
+            parser.error("the following arguments are required: command")
     except SystemExit as exc:
         # argparse already printed its error or help; normalize --help's exit 0
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE

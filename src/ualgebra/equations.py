@@ -10,8 +10,8 @@ assignments runs the scalar loop over the sides as one Ok(2) oplist, variable
 i being the one-entry table (value,).  A larger space is scanned from
 assignment 0 in blocks [0, c), [c, c^2), ... up to the largest power of the
 carrier size c within 10^4, then in aligned blocks of that power (past 10^4
-elements, blocks of at most 10^4).  Both sides compile once to one plan of
-steps over slots in the power of the algebra, a repeated subterm in one slot.
+elements, blocks of at most 10^4).  Both sides compile to one plan of steps
+over slots in the power of the algebra, a repeated subterm in one slot.
 Digits fixed over every block are ints and the others columns, so a step is a
 lookup, a unary polynomial (one column through one table) or a step on
 several columns.  With b = (c - 1).bit_length(), when each symbol used has an
@@ -22,6 +22,16 @@ other carriers take lists.  Aligned blocks share their columns, and their
 fixed digits advance like an odometer, so a step re-runs only if it reads a
 digit from the first one that changed on; a kept column keeps its packed int.
 A theory builds one extended signature per variable list.
+
+Each scan's work that does not depend on the assignments is done once and
+kept by its owner.  The equation keeps its plan, made by its first column
+scan and made again when the carrier size or a bound that shapes it
+(`_BYTE_BITS`, `_BLOCK_CAP`) differs from the last one's.  A bytes scan
+keeps in the algebra what it reads of the tables alone: each symbol's packed
+table, each unary polynomial, and each variable column of a block length
+with its packed int.  So repeated checks of one theory pay for the blocks
+alone; list columns, and so those of carriers past the cap, are built per
+call, and nothing kept depends on a verdict.
 """
 
 from __future__ import annotations
@@ -64,20 +74,20 @@ _BYTE_BITS = 8
 class Equation(_Record):
     """Two terms over a signature extended with `context_size` variables."""
 
-    __slots__ = ("context_size", "lhs", "rhs")
+    # _plan: the compiled column scan, set by its first scan (see _scan_columns)
+    __slots__ = ("context_size", "lhs", "rhs", "_plan")
 
     def __init__(self, context_size: int, lhs: Term, rhs: Term):
         extended = lhs.signature
-        if extended != rhs.signature:
+        if rhs.signature is not extended and rhs.signature != extended:
             raise SignatureMismatchError("equation sides are over different signatures")
         n = context_size
         if isinstance(n, bool) or not isinstance(n, int) or not 0 <= n <= len(extended):
             raise SignatureMismatchError(
                 f"context size {_shown(n)} does not fit the signature"
             )
-        for _, arity in extended.entries()[len(extended) - n:]:
-            if arity != 0:
-                raise SignatureMismatchError("variable symbols must have arity 0")
+        if any(extended._arities[len(extended) - n:]):
+            raise SignatureMismatchError("variable symbols must have arity 0")
         object.__setattr__(self, "context_size", context_size)
         object.__setattr__(self, "lhs", lhs)
         object.__setattr__(self, "rhs", rhs)
@@ -170,8 +180,8 @@ def _parse_with(base: Signature, names: tuple, lhs: str, rhs: str, seen: dict) -
 
 def _check_base(algebra: FiniteAlgebra, equation: Equation) -> None:
     # the one check Equation cannot make: its base is the algebra's signature
-    extended = equation.lhs.signature.entries()
-    if algebra.signature.entries() != extended[: equation.base_size]:
+    extended = equation.lhs.signature._entries
+    if algebra.signature._entries != extended[: equation.base_size]:
         raise SignatureMismatchError(
             "algebra signature is not the base of the term's signature"
         )
@@ -211,43 +221,38 @@ def find_violation(
         raise BudgetExceededError(
             f"{_shown(size)}^{n} assignments exceed budget {_shown(budget)}"
         )
-    tables = algebra.tables
     if total > _SCALAR_SPACE:
-        return _scan_columns(tables, size, n, equation, total)
+        return _scan_columns(algebra, equation, total)
     arities = equation.lhs.signature._arities
     both = equation.lhs.ops + equation.rhs.ops  # status Ok(2)
+    tables = algebra.tables
     # each assignment as the variables' one-entry tables, in the same order;
     # a ground equation has the one assignment () and needs none
-    singletons = tuple((value,) for value in range(size)) if n else ()
+    singletons = tuple(zip(range(size))) if n else ()
     for extra in itertools.product(singletons, repeat=n):
         rhs, lhs = _evaluate_ops(arities, tables + extra, size, both)
         if lhs != rhs:
-            return tuple(value for (value,) in extra)
+            return next(zip(*extra), ())
     return None
 
 
-def _scan_columns(tables, size, n, equation, total):
-    base = len(tables)
+def _compile(equation, size):
+    # the plan of a column scan over `size` elements, led by its key (what
+    # it depends on besides the equation): whether columns are bytes, the
+    # symbols to pack, the blocks, and the steps
+    n, base = equation.context_size, equation.base_size
     arities = equation.lhs.signature._arities
     both = equation.lhs.ops + equation.rhs.ops
     used = {op for op in both if op < base}
     bits = (size - 1).bit_length()
     packed = bits * max([arities[op] for op in used] + [1]) <= _BYTE_BITS
-    # per symbol: its values by the digits of its arguments in base `radix`
-    unit, radix, sources = (bytes, 1 << bits, list(tables)) if packed else (list, size, tables)
-    for op in [op for op in used if packed and arities[op]]:
-        keys = [0]  # the packed keys of all arguments but the last, in order
-        for _ in range(arities[op] - 1):
-            keys = [key << bits | v for key in keys for v in range(size)]
-        sources[op] = translation = bytearray(256)
-        for i, key in enumerate(keys):
-            translation[key << bits:(key << bits) + size] = tables[op][i * size:i * size + size]
+    radix = 1 << bits if packed else size
     places = [size ** (n - 1 - i) for i in range(n)]
     aligned = 1
     while aligned * size <= _BLOCK_CAP:
         aligned *= size
     span = aligned if aligned >= size else _BLOCK_CAP  # past the cap, aligned is 1
-    # the plan: steps (slot, symbol, int arguments, column arguments), each
+    # the steps (slot, symbol, int arguments, column arguments), each
     # argument as (slot, weight in the symbol's table); variable i is slot i,
     # an int for i < fixed.  reads[slot]: bit 0, bit i + 1 if it reads var i
     fixed = sum(place >= span for place in places)
@@ -271,7 +276,48 @@ def _scan_columns(tables, size, n, equation, total):
             reads.append(read)
         stack.append(slots[key])
     rhs, lhs = stack
-    values, lanes, plans, partials = [None] * len(reads), [None] * len(reads), {}, {}
+    # plans: the steps to re-run by the first fixed digit that changed,
+    # filled in as scans need them
+    return ((size, _BYTE_BITS, _BLOCK_CAP), packed, tuple(used), places, aligned, span,
+            fixed, program, reads, lanes_of, lhs, rhs, {})
+
+
+def _packed_table(table, arity, size):
+    # a symbol's values by the packed digits of its arguments, in b-bit
+    # lanes; a constant's table as it is
+    if not arity:
+        return table
+    bits = (size - 1).bit_length()
+    keys = [0]  # the packed keys of all arguments but the last, in order
+    for _ in range(arity - 1):
+        keys = [key << bits | v for key in keys for v in range(size)]
+    translation = bytearray(256)
+    for i, key in enumerate(keys):
+        translation[key << bits:(key << bits) + size] = table[i * size:i * size + size]
+    return bytes(translation)
+
+
+def _scan_columns(algebra, equation, total):
+    size, n = algebra.carrier_size, equation.context_size
+    plan = getattr(equation, "_plan", None)
+    if plan is None or plan[0] != (size, _BYTE_BITS, _BLOCK_CAP):
+        plan = _compile(equation, size)
+        object.__setattr__(equation, "_plan", plan)
+    _, packed, used, places, aligned, span, fixed, program, reads, lanes_of, lhs, rhs, plans = plan
+    if packed:
+        # kept by the algebra for every bytes scan: the packed tables, the
+        # unary polynomials, and the variables' columns with their lanes
+        if algebra._scans is None:
+            algebra._scans = ({}, {}, {})
+        sources, partials, cycles = algebra._scans
+        for op in used:
+            if op not in sources:
+                arity = equation.lhs.signature._arities[op]
+                sources[op] = _packed_table(algebra.tables[op], arity, size)
+    else:
+        sources, partials = algebra.tables, {}
+    unit = bytes if packed else list
+    values, lanes = [None] * len(reads), [None] * len(reads)
     start = length = 0
     while start < total:
         # `count` runs of `step` assignments; start is a multiple of step.
@@ -289,15 +335,23 @@ def _scan_columns(tables, size, n, equation, total):
         for i in range(fixed, n) if new else ():
             place = places[i]
             digit = start // place % size
-            if place >= length:  # fixed over this block alone
-                values[i] = unit((digit,)) * length
-            else:  # runs of `place` equal digits, repeated
-                runs = range(digit, digit + count if place == step else size)
-                parts = (unit((v,)) * place for v in runs)
-                column = b"".join(parts) if packed else list(itertools.chain.from_iterable(parts))
-                values[i] = column * (length // len(column))
-            if i in lanes_of:
-                lanes[i] = int.from_bytes(values[i], "little")
+            # a place below the length divides start, so these three
+            # decide the column
+            key = place, digit, length
+            got = cycles.get(key) if packed else None
+            if got is None:
+                if place >= length:  # fixed over this block alone
+                    column = unit((digit,)) * length
+                else:  # runs of `place` equal digits, repeated
+                    runs = range(digit, digit + count if place == step else size)
+                    parts = (unit((v,)) * place for v in runs)
+                    column = b"".join(parts) if packed else list(itertools.chain.from_iterable(parts))
+                    column = column * (length // len(column))
+                if not packed:
+                    values[i] = column
+                    continue
+                got = cycles[key] = column, int.from_bytes(column, "little")
+            values[i], lanes[i] = got
         for slot, op, ints, columns in plans[changed]:
             offset = 0
             for arg, weight in ints:

@@ -43,17 +43,19 @@ def _listed(names) -> str:
 
 class _Record:
     """Base of a small immutable record.  A subclass names its fields in
-    `__slots__`, which is also its `__match_args__`, and sets them in its
-    own `__init__` through `object.__setattr__`.  Two records are equal
-    when they are of one class with equal fields, never across classes or
-    with a tuple; a record shows as `Name(field=value, ...)`, and pickles
-    and copies by calling its constructor again."""
+    `__slots__`, which are also its `__match_args__`, and sets them in its
+    own `__init__` through `object.__setattr__`.  A slot whose name starts
+    with `_` is a cache, not a field: nothing below reads it.  Two records
+    are equal when they are of one class with equal fields, never across
+    classes or with a tuple; a record shows as `Name(field=value, ...)`,
+    and pickles and copies by calling its constructor again, so a copy
+    starts with no cache."""
 
     __slots__ = ()
 
     def __init_subclass__(cls):
-        cls.__match_args__ = cls.__slots__
-        cls._values = attrgetter(*cls.__slots__)
+        cls.__match_args__ = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        cls._values = attrgetter(*cls.__match_args__)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -70,11 +72,11 @@ class _Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
         return f"{self.__class__.__qualname__}({fields})"
 
     def __reduce__(self):
-        return self.__class__, tuple(getattr(self, name) for name in self.__slots__)
+        return self.__class__, tuple(getattr(self, name) for name in self.__match_args__)
 
 
 class UAlgebraError(Exception):

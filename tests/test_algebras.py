@@ -15,6 +15,7 @@ from ualgebra.algebras import (
     check_homomorphism,
     is_homomorphism,
 )
+from ualgebra.equations import find_violation, parse_equation
 from ualgebra.errors import CarrierMismatchError, FormatError, SignatureMismatchError
 from ualgebra.signature import Signature
 from ualgebra.terms import Term, build_term, destructure, enumerate_terms, fold
@@ -518,6 +519,24 @@ def test_tables_from_lists_and_from_tuples_make_one_algebra():
         assert copied._byte_tables == from_lists._byte_tables
         assert copied.to_json() == from_lists.to_json()
         assert repr(copied) == repr(from_lists)
+
+
+def test_an_algebra_after_a_scan_is_like_a_fresh_one():
+    # a scan of more than 64 assignments in bytes keeps tables and columns
+    # in the algebra, which its equality, hash, repr and JSON do not read
+    scanned, fresh = (FiniteAlgebra(BIN, 3, BIN_MOD3.tables) for _ in range(2))
+    eq = parse_equation(BIN, ["x", "y", "z", "w"], "f(x,f(y,f(z,w)))", "f(w,f(z,f(y,x)))")
+    assert find_violation(scanned, eq) == oracles.least_violation(scanned, eq)
+    assert scanned._scans is not None and fresh._scans is None
+    assert scanned == fresh and hash(scanned) == hash(fresh)
+    assert repr(scanned) == repr(fresh)
+    assert scanned.to_json() == fresh.to_json()
+    # copies and pickles leave the caches behind
+    assert len(pickle.dumps(scanned)) == len(pickle.dumps(fresh))
+    for copied in (pickle.loads(pickle.dumps(scanned)), copy.copy(scanned), copy.deepcopy(scanned)):
+        assert copied == fresh and copied._scans is None
+        assert copied._byte_tables == fresh._byte_tables
+        assert find_violation(copied, eq) == find_violation(fresh, eq)
 
 
 @pytest.mark.parametrize("size, byte_tables", [(256, True), (257, False)])

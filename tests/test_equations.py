@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import random
@@ -747,6 +748,100 @@ def test_transport_of_structure_moves_each_least_violation(algebra, n, fixed):
     assert v <= back and w <= there
     if fixed:  # x0 = 0 satisfies the law in A, so y0 = s(0) = 0 does in sA
         assert w[0] != 0
+
+
+# ------------------------------------------------------------ compiled once
+
+def random_group_like(size, seed):
+    """A random algebra over GRP, from its seed."""
+    rng = random.Random(seed)
+    return FiniteAlgebra(GRP, size, [[rng.randrange(size) for _ in range(size ** a)] for a in (2, 1, 0)])
+
+
+# four-variable laws over GRP, each scanned in columns over 3 to 5 elements:
+# one that holds in every cyclic group, one that breaks at (1, 0, 0, 0) in
+# Z3 alone, one that breaks at (0, 0, 0, 1) in every group but Z2, and one
+# whose sides are one term
+CACHED_LAWS = [
+    ("m(m(x0,x1),m(x2,x3))", "m(x0,m(x1,m(x2,x3)))"),
+    (sums(["x0"] * 5 + ["x3"]), "x3"),
+    ("m(x1,m(x2,x3))", "m(x1,m(x2,i(x3)))"),
+    ("m(x3,m(x2,i(x0)))", "m(x3,m(x2,i(x0)))"),
+]
+
+
+def agree_in_turn(eq, algebras):
+    # the same equation object over each algebra in turn, twice over
+    wants = [oracles.least_violation(algebra, eq) for algebra in algebras]
+    for _ in range(2):
+        assert [find_violation(algebra, eq) for algebra in algebras] == wants
+
+
+@pytest.mark.parametrize("lhs, rhs", CACHED_LAWS)
+def test_one_equation_agrees_with_the_oracle_over_two_carrier_sizes(lhs, rhs):
+    eq = parse_equation(GRP, ["x0", "x1", "x2", "x3"], lhs, rhs)
+    agree_in_turn(eq, [cyclic_group(3), cyclic_group(5)])
+
+
+@pytest.mark.parametrize("lhs, rhs", CACHED_LAWS)
+def test_one_equation_agrees_with_the_oracle_over_two_algebras_of_one_size(lhs, rhs):
+    eq = parse_equation(GRP, ["x0", "x1", "x2", "x3"], lhs, rhs)
+    agree_in_turn(eq, [cyclic_group(5), random_group_like(5, 5)])
+
+
+@pytest.mark.parametrize("lhs, rhs", CACHED_LAWS)
+def test_one_equation_follows_the_scan_bounds_as_they_change(lhs, rhs):
+    # bytes and lists, and blocks of the cap, of 7 and of 2 (past the cap),
+    # each changed alone as well: a plan made under other bounds would still
+    # agree with the oracle, so the columns and blocks are checked against
+    # the bounds of each call
+    eq = parse_equation(GRP, ["x0", "x1", "x2", "x3"], lhs, rhs)
+    algebras = [cyclic_group(5), random_group_like(5, 5)]
+    wants = [oracles.least_violation(algebra, eq) for algebra in algebras]
+    for byte_bits, cap in [(8, CAP), (8, 7), (0, 7), (0, CAP), (8, 2), (8, CAP)]:
+        for algebra, want in zip(algebras, wants):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(equations, "_BYTE_BITS", byte_bits)
+                patch.setattr(equations, "_BLOCK_CAP", cap)
+                blocks = compared(patch)
+                assert find_violation(algebra, eq) == want
+            # x3 cycles in every block, so each block has a column
+            kinds = {type(side) for _, *sides in blocks for side in sides if type(side) is not int}
+            assert kinds == {bytes if byte_bits else list}
+            assert max(length for length, _, _ in blocks) <= cap
+
+
+def test_what_scans_keep_goes_with_the_algebra():
+    # one theory over 200 fresh algebras, each dropped after its check:
+    # its equations keep their plans, and what the scans keep of an algebra
+    # (tables and columns; a full scan of 5^5 assignments first) goes with
+    # it, so memory does not grow with the count of algebras
+    names = [f"x{i}" for i in range(5)]
+    same = sums(names)
+    theory = Theory("t", (
+        ("same", parse_equation(GRP, names, same, same)),
+        ("assoc", parse_equation(GRP, names[:3], "m(x0,m(x1,x2))", "m(m(x0,x1),x2)")),
+    ))
+
+    def traced():
+        gc.collect()  # a full collection also empties the free lists
+        return tracemalloc.get_traced_memory()[0]
+
+    tracemalloc.start()
+    try:
+        check_model(random_group_like(5, 0), theory)
+        before = traced()
+        kept = random_group_like(5, 0)
+        check_model(kept, theory)
+        one = traced() - before
+        del kept
+        for seed in range(1, 201):
+            check_model(random_group_like(5, seed), theory)
+        grown = traced() - before
+    finally:
+        tracemalloc.stop()
+    # one algebra with what its scans keep is tens of KB
+    assert one > 20_000 and grown < one // 8, (one, grown)
 
 
 # ------------------------------------------------------------ theories

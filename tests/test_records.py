@@ -10,7 +10,7 @@ import pickle
 import pytest
 
 from ualgebra.algebras import FiniteAlgebra, HomViolation, check_homomorphism
-from ualgebra.equations import Equation, ModelFailure, Theory, parse_equation
+from ualgebra.equations import Equation, ModelFailure, Theory, find_violation, parse_equation
 from ualgebra.errors import FormatError, SignatureMismatchError
 from ualgebra.oplist import UNDERFLOW, Error, Ok, status_of
 from ualgebra.signature import Signature
@@ -184,3 +184,23 @@ def test_constructor_errors_unchanged():
     with pytest.raises(FormatError) as info:
         Theory("t", (("a", eq), ("a", eq), ("b", eq)))
     assert str(info.value) == "duplicate equation labels in theory 't'"
+
+
+def test_an_equation_after_a_scan_is_like_a_fresh_one():
+    # a scan of more than 64 assignments keeps its compiled plan in the
+    # equation, in a slot that is no field
+    names = ["x", "y", "w", "u", "v", "s", "t"]
+    law = "xor(x,xor(y,xor(w,xor(u,xor(v,xor(s,t))))))"
+
+    scanned, fresh = (parse_equation(XOR, names, law, law) for _ in range(2))
+    assert find_violation(B2_XOR, scanned) is None
+    assert hasattr(scanned, "_plan") and not hasattr(fresh, "_plan")
+    assert scanned == fresh and not scanned != fresh
+    assert hash(scanned) == hash(fresh) and len({scanned, fresh}) == 1
+    assert repr(scanned) == repr(fresh)
+    assert type(scanned).__match_args__ == ("context_size", "lhs", "rhs")
+    assert positional(scanned) == positional(fresh) == (7, law, law)
+    for copied in (pickle.loads(pickle.dumps(scanned)), copy.copy(scanned)):
+        assert copied == fresh and hash(copied) == hash(fresh)
+        assert repr(copied) == repr(fresh)
+        assert not hasattr(copied, "_plan")
