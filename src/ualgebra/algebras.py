@@ -62,7 +62,7 @@ _BYTE_CARRIER = 256
 _ROW_MIN = 16
 
 
-class FiniteAlgebra:
+class FiniteAlgebra(_Record):
     """A finite carrier with one total operation table per symbol."""
 
     # _scans: what the bytes column scans of `equations` keep of this
@@ -92,15 +92,14 @@ class FiniteAlgebra:
                     f"table for {name} must have {want} entries, got {len(table)}"
                 )
             _check_elements(table, carrier_size, f"table for {name} has entry")
-        self.signature = signature
-        self.carrier_size = carrier_size
-        self.tables = tables
+        object.__setattr__(self, "signature", signature)
+        object.__setattr__(self, "carrier_size", carrier_size)
+        object.__setattr__(self, "tables", tables)
         # the same tables as bytes, read only by `check_homomorphism`'s bytes
         # compare; a subscript of `tables` stays the faster one to evaluate with
-        self._byte_tables = (
-            tuple(map(bytes, tables)) if carrier_size <= _BYTE_CARRIER else None
-        )
-        self._scans = None
+        byte_tables = tuple(map(bytes, tables)) if carrier_size <= _BYTE_CARRIER else None
+        object.__setattr__(self, "_byte_tables", byte_tables)
+        object.__setattr__(self, "_scans", None)
 
     def apply(self, symbol, args: Sequence[int]) -> int:
         """Apply one operation table to a tuple of carrier elements."""
@@ -129,26 +128,9 @@ class FiniteAlgebra:
             self.signature._arities, self.tables, self.carrier_size, term.ops
         )[0]
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, FiniteAlgebra)
-            and self.signature == other.signature
-            and self.carrier_size == other.carrier_size
-            and self.tables == other.tables
-        )
-
-    def __hash__(self):
-        return hash((self.signature, self.carrier_size, self.tables))
-
     def __repr__(self):
+        # short, since a table can hold 10^6 entries
         return f"FiniteAlgebra(carrier={self.carrier_size}, over {self.signature!r})"
-
-    def __getstate__(self):
-        # a copy or a pickle starts with no scan caches, which can be tens
-        # of KB
-        state = {name: getattr(self, name) for name in self.__slots__}
-        state["_scans"] = None
-        return None, state
 
     def to_json(self) -> dict:
         return {

@@ -308,7 +308,7 @@ def _scan_columns(algebra, equation, total):
         # kept by the algebra for every bytes scan: the packed tables, the
         # unary polynomials, and the variables' columns with their lanes
         if algebra._scans is None:
-            algebra._scans = ({}, {}, {})
+            object.__setattr__(algebra, "_scans", ({}, {}, {}))
         sources, partials, cycles = algebra._scans
         for op in used:
             if op not in sources:

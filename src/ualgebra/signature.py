@@ -154,6 +154,11 @@ class Signature:
     def __repr__(self):
         return f"Signature({list(self._entries)!r})"
 
+    def __reduce__(self):
+        # a copy or a pickle is built again from the entries: its own symbols,
+        # this process's hash, and no printer
+        return Signature, (self._entries,)
+
     def to_json(self) -> dict:
         return {
             "symbols": [

@@ -41,6 +41,9 @@ class Term:
 
     The constructor validates; code that can guarantee validity (building
     from existing terms, parsing) goes through `_wrap` and never rescans.
+    The fields are read-only by contract but not guarded as a record's are:
+    setting them through `object.__setattr__` made `enumerate_terms`, which
+    builds one term per step, 1.2-1.7x slower.
     """
 
     __slots__ = ("signature", "ops")

@@ -539,6 +539,50 @@ def test_an_algebra_after_a_scan_is_like_a_fresh_one():
         assert find_violation(copied, eq) == find_violation(fresh, eq)
 
 
+def refuse_every_field_change(algebra, tables):
+    # tables: those of another algebra over the same signature and carrier
+    changes = {"tables": tables, "carrier_size": algebra.carrier_size + 1, "signature": NAT}
+    for field, value in changes.items():
+        with pytest.raises(AttributeError):
+            setattr(algebra, field, value)
+        with pytest.raises(AttributeError):
+            delattr(algebra, field)
+
+
+def test_fields_stay_as_built_after_a_bytes_scan():
+    # the scan keeps the packed tables in the algebra; a field changed
+    # under them would leave its verdicts stale
+    law = parse_equation(BIN, ["x", "y", "z", "w"], "f(x,y)", "f(y,x)")
+    z3 = [[(x + y) % 3 for x in range(3) for y in range(3)], [0], [1]]
+    left = [[x for x in range(3) for _ in range(3)], [0], [1]]
+    scanned = FiniteAlgebra(BIN, 3, z3)
+    assert find_violation(scanned, law) is None
+    assert scanned._scans is not None
+    moved = FiniteAlgebra(BIN, 3, left)
+    refuse_every_field_change(scanned, moved.tables)
+    assert scanned == FiniteAlgebra(BIN, 3, z3)
+    assert find_violation(scanned, law) is None
+    assert oracles.least_violation(scanned, law) is None
+    assert find_violation(moved, law) == oracles.least_violation(moved, law) == (0, 1, 0, 0)
+
+
+def test_fields_stay_as_built_after_a_bytes_hom_check():
+    # a 16-element source is at _ROW_MIN, so the check compares the
+    # tables' bytes copies, which a changed field would leave stale
+    sig = Signature([("s", 1), ("z", 0)])
+    successor = [[(x + 1) % 16 for x in range(16)], [0]]
+    source, target = (FiniteAlgebra(sig, 16, successor) for _ in range(2))
+    moved = FiniteAlgebra(sig, 16, [list(range(16)), [0]])
+    assert check_homomorphism(source, target, range(16)) is None
+    for algebra in (source, target):
+        refuse_every_field_change(algebra, moved.tables)
+    assert check_homomorphism(source, target, range(16)) is None
+    assert oracles.least_hom_violation(source, target, range(16)) is None
+    got = check_homomorphism(source, moved, range(16))
+    want = oracles.least_hom_violation(source, moved, range(16))
+    assert (got.symbol, got.args, got.lhs, got.rhs) == want == (sig.symbols[0], (0,), 1, 0)
+
+
 @pytest.mark.parametrize("size, byte_tables", [(256, True), (257, False)])
 def test_byte_tables_only_up_to_256_elements(size, byte_tables):
     """Above 256 elements there is no byte copy, and the entry compare

@@ -1,13 +1,19 @@
-"""The package's six immutable records: `Ok`, `Error`, `Equation`,
-`Theory`, `ModelFailure` and `HomViolation`.  Each compares by class and
-fields, hashes alike when equal, refuses assignment and deletion, shows a
-`Name(field=value, ...)` repr, matches positionally, and survives `pickle`
-and `copy.copy`."""
+"""The package's seven immutable records: `Ok`, `Error`, `Equation`,
+`Theory`, `ModelFailure`, `HomViolation` and `FiniteAlgebra`.  Each
+compares by class and fields, hashes alike when equal, refuses assignment
+and deletion, shows a `Name(field=value, ...)` repr (an algebra a short
+one), matches positionally, and survives `pickle` and `copy.copy`."""
 
 import copy
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import smoke
 
 from ualgebra.algebras import FiniteAlgebra, HomViolation, check_homomorphism
 from ualgebra.equations import Equation, ModelFailure, Theory, find_violation, parse_equation
@@ -61,6 +67,12 @@ RECORDS = [
         violation,
         {"symbol": XOR.symbols[0], "args": (0, 0), "lhs": 1, "rhs": 0},
         "HomViolation(symbol=OpSymbol('xor', arity=2), args=(0, 0), lhs=1, rhs=0)",
+    ),
+    (
+        "FiniteAlgebra",
+        lambda: FiniteAlgebra(XOR, 2, [[0, 1, 1, 0], [0]]),
+        {"signature": XOR, "carrier_size": 2, "tables": ((0, 1, 1, 0), (0,))},
+        "FiniteAlgebra(carrier=2, over Signature([('xor', 2), ('e', 0)]))",
     ),
 ]
 IDS = [name for name, *_ in RECORDS]
@@ -152,6 +164,8 @@ def positional(record):
             return label, assignment
         case HomViolation(symbol, (x, y), lhs, rhs):
             return symbol.name, x, y, lhs, rhs
+        case FiniteAlgebra(sig, n, tables):
+            return len(sig), n, tables
     return None
 
 
@@ -163,6 +177,7 @@ def test_positional_match():
     assert positional(Theory("t", (("comm", comm()),))) == ("t", 1)
     assert positional(ModelFailure("comm", (0, 1))) == ("comm", (0, 1))
     assert positional(violation()) == ("xor", 0, 0, 1, 0)
+    assert positional(B2_XOR) == (2, 2, ((0, 1, 1, 0), (0,)))
     assert positional((1,)) is None
 
 
@@ -204,3 +219,67 @@ def test_an_equation_after_a_scan_is_like_a_fresh_one():
         assert copied == fresh and hash(copied) == hash(fresh)
         assert repr(copied) == repr(fresh)
         assert not hasattr(copied, "_plan")
+
+
+def test_no_cache_leaves_its_owner():
+    # the signature's printer, the algebra's scans and the equation's plan,
+    # each built by use, stay behind in every copy and pickle
+    names = ["x", "y", "w", "u", "v", "s", "t"]
+    law = "xor(x,xor(y,xor(w,xor(u,xor(v,xor(s,t))))))"
+    signature = Signature(XOR.entries())
+    algebra = FiniteAlgebra(signature, 2, B2_XOR.tables)
+    equation = parse_equation(signature, names, law, law)
+    assert str(Term(signature, (0, 1, 1))) == "xor(e,e)"
+    assert find_violation(algebra, equation) is None
+    assert signature._printer is not None
+    assert algebra._scans is not None and hasattr(equation, "_plan")
+    for clone in (copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))):
+        assert clone(signature)._printer is None
+        assert clone(algebra)._scans is None
+        assert not hasattr(clone(equation), "_plan")
+        assert clone(algebra) == algebra and clone(equation) == equation
+
+
+# builds one Signature, Term, FiniteAlgebra and Equation; `dump` writes them
+# pickled to stdout, `load` reads such a pickle from stdin and prints, for
+# each value read, whether it is found in a set of its freshly built twin
+CROSS_SEED = """
+import pickle, sys
+from ualgebra.algebras import FiniteAlgebra
+from ualgebra.equations import parse_equation
+from ualgebra.signature import Signature
+from ualgebra.terms import Term
+
+signature = Signature([("xor", 2), ("e", 0)])
+fresh = [
+    signature,
+    Term(signature, (0, 1, 1)),
+    FiniteAlgebra(signature, 2, [[0, 1, 1, 0], [0]]),
+    parse_equation(signature, ["x", "y"], "xor(x,y)", "xor(y,x)"),
+]
+if sys.argv[1] == "dump":
+    sys.stdout.buffer.write(pickle.dumps(fresh))
+else:
+    loaded = pickle.loads(sys.stdin.buffer.read())
+    print([value == twin and value in {twin} for value, twin in zip(loaded, fresh)])
+"""
+
+
+def test_a_pickle_hashes_alike_under_another_hash_seed():
+    # a str hashes differently under each PYTHONHASHSEED, so a hash that
+    # a pickle carried from the process that wrote it finds no equal twin
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
+
+    def child(step, seed, data=b""):
+        proc = subprocess.run(
+            [sys.executable, "-c", CROSS_SEED, step],
+            input=data,
+            capture_output=True,
+            env={**env, "PYTHONHASHSEED": seed},
+            timeout=smoke.TIMEOUT,
+        )
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        return proc.stdout
+
+    data = child("dump", "1")
+    assert child("load", "2", data) == b"[True, True, True, True]\n"

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 from ualgebra.algebras import FiniteAlgebra, check_homomorphism
@@ -347,6 +350,23 @@ def test_symbol_equality_is_identity_scoped():
     assert NAT.symbol("s") != clone.symbol("s")
     assert NAT.symbol("s") != NAT.symbol("z")
     assert len({NAT.symbol("s"), NAT.symbol(1)}) == 1
+
+
+@pytest.mark.parametrize(
+    "clone",
+    [copy.copy, copy.deepcopy, lambda sig: pickle.loads(pickle.dumps(sig))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_a_copy_owns_its_symbols(clone):
+    sig = Signature([("f", 2), ("a", 0)])
+    copied = clone(sig)
+    assert copied == sig and hash(copied) == hash(sig)
+    for i, sym in enumerate(copied.symbols):
+        assert sym.signature is copied
+        assert copied.arity(sym) == sig.arity(i)
+        assert copied.symbol(sym) is sym
+        assert copied.symbol(sym.name) is sym
+        assert sym != sig.symbols[i]
 
 
 def test_extend_with_variables():
