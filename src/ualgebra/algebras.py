@@ -15,7 +15,8 @@ arity-0 symbols, by one-entry tables holding their values.
 `check_homomorphism` scans each table once, one row at a time: a row fixes
 every argument but the last, its target row at the mapped prefix is found
 once, and it is compared entry by entry up to its first difference.  An
-algebra of at most 256 elements also keeps its tables as `bytes`; when both
+algebra of at most 256 elements also keeps its tables as `bytes`, and the
+column scans of `equations` run on bytes exactly for those; when both
 carriers fit and the source has at least `_ROW_MIN` elements, a group of
 rows (every argument but the last two fixed) is first compared whole: its
 entries mapped by one `bytes.translate`, against the target rows at the
@@ -46,7 +47,8 @@ from .terms import Term
 
 
 # a carrier of at most this many elements keeps a copy of its tables as
-# bytes, one element per byte
+# bytes, one element per byte: the one rule for whether `check_homomorphism`
+# and the column scans of `equations` may run on bytes
 _BYTE_CARRIER = 256
 # the least source carrier whose groups of rows check_homomorphism compares
 # as bytes.  Measured on Z_n -> Z_n/2 ring quotients (Python 3.11, 2 shared
@@ -95,8 +97,9 @@ class FiniteAlgebra(_Record):
         object.__setattr__(self, "signature", signature)
         object.__setattr__(self, "carrier_size", carrier_size)
         object.__setattr__(self, "tables", tables)
-        # the same tables as bytes, read only by `check_homomorphism`'s bytes
-        # compare; a subscript of `tables` stays the faster one to evaluate with
+        # the same tables as bytes, read by `check_homomorphism`'s bytes
+        # compare and by the bytes column scans; a subscript of `tables`
+        # stays the faster one to evaluate with
         byte_tables = tuple(map(bytes, tables)) if carrier_size <= _BYTE_CARRIER else None
         object.__setattr__(self, "_byte_tables", byte_tables)
         object.__setattr__(self, "_scans", None)

@@ -14,24 +14,26 @@ elements, blocks of at most 10^4).  Both sides compile to one plan of steps
 over slots in the power of the algebra, a repeated subterm in one slot.
 Digits fixed over every block are ints and the others columns, so a step is a
 lookup, a unary polynomial (one column through one table) or a step on
-several columns.  With b = (c - 1).bit_length(), when each symbol used has an
-arity a with a * b <= 8 (unary up to 256 elements, binary up to 16, ternary
-up to 4), columns are bytes: a unary polynomial is one `bytes.translate`, and
-a step on several columns translates their b-bit lanes packed into one int;
-other carriers take lists.  Aligned blocks share their columns, and their
-fixed digits advance like an odometer, so a step re-runs only if it reads a
-digit from the first one that changed on; a kept column keeps its packed int.
-A theory builds one extended signature per variable list.
+several columns, as the plan decides.  Columns are bytes when the algebra
+keeps its tables as bytes (at most 256 elements, see `algebras`), else lists.
+A unary polynomial is a bounded slice of its table, on bytes one translate.
+With b = (c - 1).bit_length(), a step on several columns of a symbol of arity
+a with a * b <= 8 (binary up to 16 elements, ternary up to 4) translates their
+b-bit lanes packed into one int; any other reads its table once per entry.
+Aligned blocks share their columns, and their fixed digits advance like an
+odometer, so a step re-runs only if it reads a digit from the first one that
+changed on; a kept column keeps its packed int.  A theory builds one
+extended signature per variable list.
 
 Each scan's work that does not depend on the assignments is done once and
 kept by its owner.  The equation keeps its plan, made by its first column
-scan and made again when the carrier size or a bound that shapes it
-(`_BYTE_BITS`, `_BLOCK_CAP`) differs from the last one's.  A bytes scan
-keeps in the algebra what it reads of the tables alone: each symbol's packed
-table, each unary polynomial, and each variable column of a block length
-with its packed int.  So repeated checks of one theory pay for the blocks
-alone; list columns, and so those of carriers past the cap, are built per
-call, and nothing kept depends on a verdict.
+scan and made again when the carrier size, the algebra's bytes or a bound
+that shapes it (`_BYTE_BITS`, `_BLOCK_CAP`) differs from the last one's.  A
+bytes scan keeps in the algebra what it reads of the tables alone: each
+unary polynomial and lanes table, and each variable column of a block
+length with its packed int.  So repeated checks of one theory pay for the
+blocks alone; list columns, those of carriers past 256, are built per call,
+and nothing kept depends on a verdict.
 """
 
 from __future__ import annotations
@@ -66,8 +68,8 @@ DEFAULT_BUDGET = 10 ** 7
 # _BLOCK_CAP, which bounds the memory a scan holds.
 _SCALAR_SPACE = 64
 _BLOCK_CAP = 10 ** 4
-# The bits of a byte: a scan's columns are bytes when the arguments of each
-# symbol it uses pack into one
+# The bits of a byte: a step on several bytes columns packs their lanes when
+# the arguments of its symbol fit into one
 _BYTE_BITS = 8
 
 
@@ -236,25 +238,21 @@ def find_violation(
     return None
 
 
-def _compile(equation, size):
+def _compile(equation, size, on_bytes):
     # the plan of a column scan over `size` elements, led by its key (what
-    # it depends on besides the equation): whether columns are bytes, the
-    # symbols to pack, the blocks, and the steps
+    # it depends on besides the equation): the blocks and the steps
     n, base = equation.context_size, equation.base_size
     arities = equation.lhs.signature._arities
     both = equation.lhs.ops + equation.rhs.ops
-    used = {op for op in both if op < base}
     bits = (size - 1).bit_length()
-    packed = bits * max([arities[op] for op in used] + [1]) <= _BYTE_BITS
-    radix = 1 << bits if packed else size
     places = [size ** (n - 1 - i) for i in range(n)]
     aligned = 1
     while aligned * size <= _BLOCK_CAP:
         aligned *= size
     span = aligned if aligned >= size else _BLOCK_CAP  # past the cap, aligned is 1
-    # the steps (slot, symbol, int arguments, column arguments), each
-    # argument as (slot, weight in the symbol's table); variable i is slot i,
-    # an int for i < fixed.  reads[slot]: bit 0, bit i + 1 if it reads var i
+    # the steps (slot, symbol, int arguments, column arguments, lanes), each
+    # argument as (slot, weight in the table read); variable i is slot i, an
+    # int for i < fixed.  reads[slot]: bit 0, bit i + 1 if it reads var i
     fixed = sum(place >= span for place in places)
     reads = [2 << i for i in range(n)]
     program, slots, stack, lanes_of = [], {}, [], set()
@@ -266,27 +264,28 @@ def _compile(equation, size):
         del stack[len(stack) - len(key) + 1:]
         if key not in slots:
             slots[key] = len(reads)
+            # several columns of a symbol whose arguments fit in a byte at
+            # b bits each are packed as lanes, read in its packed table
+            cycling = sum(reads[arg] >> fixed + 1 > 0 for arg in key[1:])
+            lanes = on_bytes and cycling > 1 and bits * arities[op] <= _BYTE_BITS
+            radix = 1 << bits if lanes else size
             weight, ints, columns, read = 1, [], [], 1
             for arg in key[1:]:
                 (columns if reads[arg] >> fixed + 1 else ints).append((arg, weight))
                 weight, read = weight * radix, read | reads[arg]
-            if len(columns) > 1 and packed:  # these keep their lanes as one int
-                lanes_of.update([arg for arg, _ in columns])
-            program.append((len(reads), op, ints, columns))
+            lanes_of.update([arg for arg, _ in columns] if lanes else ())
+            program.append((len(reads), op, ints, columns, lanes))
             reads.append(read)
         stack.append(slots[key])
     rhs, lhs = stack
     # plans: the steps to re-run by the first fixed digit that changed,
     # filled in as scans need them
-    return ((size, _BYTE_BITS, _BLOCK_CAP), packed, tuple(used), places, aligned, span,
-            fixed, program, reads, lanes_of, lhs, rhs, {})
+    return ((size, _BYTE_BITS, _BLOCK_CAP, on_bytes), places, aligned, span, fixed,
+            program, reads, lanes_of, lhs, rhs, {})
 
 
-def _packed_table(table, arity, size):
-    # a symbol's values by the packed digits of its arguments, in b-bit
-    # lanes; a constant's table as it is
-    if not arity:
-        return table
+def _packed_table(table, arity, size, offset):
+    # a symbol's values by its arguments' digits packed in b-bit lanes, from key `offset` on
     bits = (size - 1).bit_length()
     keys = [0]  # the packed keys of all arguments but the last, in order
     for _ in range(arity - 1):
@@ -294,29 +293,26 @@ def _packed_table(table, arity, size):
     translation = bytearray(256)
     for i, key in enumerate(keys):
         translation[key << bits:(key << bits) + size] = table[i * size:i * size + size]
-    return bytes(translation)
+    return bytes(translation[offset:]).ljust(256)
 
 
 def _scan_columns(algebra, equation, total):
     size, n = algebra.carrier_size, equation.context_size
+    tables = algebra._byte_tables
+    on_bytes = tables is not None
     plan = getattr(equation, "_plan", None)
-    if plan is None or plan[0] != (size, _BYTE_BITS, _BLOCK_CAP):
-        plan = _compile(equation, size)
+    if plan is None or plan[0] != (size, _BYTE_BITS, _BLOCK_CAP, on_bytes):
+        plan = _compile(equation, size, on_bytes)
         object.__setattr__(equation, "_plan", plan)
-    _, packed, used, places, aligned, span, fixed, program, reads, lanes_of, lhs, rhs, plans = plan
-    if packed:
-        # kept by the algebra for every bytes scan: the packed tables, the
-        # unary polynomials, and the variables' columns with their lanes
+    _, places, aligned, span, fixed, program, reads, lanes_of, lhs, rhs, plans = plan
+    if on_bytes:
+        # kept by the algebra for every bytes scan: the unary polynomials
+        # and lanes tables, and the variables' columns with their lanes
         if algebra._scans is None:
-            object.__setattr__(algebra, "_scans", ({}, {}, {}))
-        sources, partials, cycles = algebra._scans
-        for op in used:
-            if op not in sources:
-                arity = equation.lhs.signature._arities[op]
-                sources[op] = _packed_table(algebra.tables[op], arity, size)
-    else:
-        sources, partials = algebra.tables, {}
-    unit = bytes if packed else list
+            object.__setattr__(algebra, "_scans", ({}, {}))
+        (partials, cycles), unit = algebra._scans, bytes
+    else:  # past the byte carrier: lists, built per call
+        tables, unit, partials, cycles = algebra.tables, list, {}, {}
     values, lanes = [None] * len(reads), [None] * len(reads)
     start = length = 0
     while start < total:
@@ -338,44 +334,48 @@ def _scan_columns(algebra, equation, total):
             # a place below the length divides start, so these three
             # decide the column
             key = place, digit, length
-            got = cycles.get(key) if packed else None
+            got = cycles.get(key)
             if got is None:
                 if place >= length:  # fixed over this block alone
                     column = unit((digit,)) * length
                 else:  # runs of `place` equal digits, repeated
                     runs = range(digit, digit + count if place == step else size)
                     parts = (unit((v,)) * place for v in runs)
-                    column = b"".join(parts) if packed else list(itertools.chain.from_iterable(parts))
+                    column = b"".join(parts) if on_bytes else list(itertools.chain.from_iterable(parts))
                     column = column * (length // len(column))
-                if not packed:
-                    values[i] = column
-                    continue
-                got = cycles[key] = column, int.from_bytes(column, "little")
+                got = column, on_bytes and int.from_bytes(column, "little")
+                if on_bytes:  # a list column lives as long as its call
+                    cycles[key] = got
             values[i], lanes[i] = got
-        for slot, op, ints, columns in plans[changed]:
+        for slot, op, ints, columns, packed in plans[changed]:
             offset = 0
             for arg, weight in ints:
                 offset += values[arg] * weight
             if not columns:
-                values[slot] = sources[op][offset]
+                values[slot] = tables[op][offset]
                 continue
-            if len(columns) == 1:  # a unary polynomial of the algebra
-                (arg, stride), = columns
-                column = values[arg]
-            elif packed:  # one column of packed lanes
-                stride, column = 1, 0
+            if packed:  # one column of packed lanes, through a lanes table
+                column = 0
                 for arg, weight in columns:  # a product with 1 would copy
                     column |= lanes[arg] * weight if weight > 1 else lanes[arg]
                 column = column.to_bytes(length, "little")
-            else:
-                stride = 1
-                column = map(sum, zip(*[map(w.__mul__, values[a]) for a, w in columns]))
-            table = partials.get((op, offset, stride))
-            if table is None:
-                table = sources[op][offset::stride]
-                table = partials[op, offset, stride] = table.ljust(256) if packed else table
+                table = partials.get((op, offset))  # keyed apart from a polynomial
+                if table is None:
+                    arity = len(ints) + len(columns)
+                    table = partials[op, offset] = _packed_table(tables[op], arity, size, offset)
+            elif len(columns) > 1:  # an index per entry, summed column by column
+                table, column = tables[op], itertools.repeat(offset, length)
+                for arg, weight in columns:
+                    column = [i + weight * v for i, v in zip(column, values[arg])]
+            else:  # a unary polynomial of the algebra
+                (arg, stride), = columns
+                column = values[arg]
+                table = partials.get((op, offset, stride))
+                if table is None:  # bounded: a byte table may run past 256
+                    table = tables[op][offset:offset + stride * size:stride]
+                    table = partials[op, offset, stride] = table.ljust(256) if on_bytes else table
             values[slot] = column = (
-                column.translate(table) if packed else list(map(table.__getitem__, column))
+                column.translate(table) if type(column) is bytes else unit(map(table.__getitem__, column))
             )
             if slot in lanes_of:
                 lanes[slot] = int.from_bytes(column, "little")

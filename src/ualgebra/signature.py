@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .errors import FormatError, InvalidSymbolError, SignatureError, _shown
+from .errors import FormatError, InvalidSymbolError, SignatureError, _Record, _shown
 
 # Default cap on arity and symbol count when reading untrusted input files.
 SANITY_LIMIT = 2 ** 16
@@ -19,7 +19,11 @@ class OpSymbol:
     """One operation symbol of a signature.
 
     Equality and hashing use the owning signature's identity plus the
-    index, never the display name.
+    index, never the display name.  The fields are read-only by contract
+    but not guarded as a signature's are: 2^16 symbols took 18-20 ms to
+    construct plain, against 36-44 ms guarded (set through slot descriptors
+    or `object.__setattr__`), and a whole signature of 2^16 symbols 44-48 ms
+    (Python 3.11, best of 15, three rounds).
     """
 
     __slots__ = ("signature", "index", "name")
@@ -51,7 +55,8 @@ class Signature:
     """An ordered sequence of (display name, arity) pairs.
 
     Two signatures compare equal iff their symbol sequences agree
-    position-wise on names and arities.  Instances are immutable.
+    position-wise on names and arities.  Instances are immutable: as a
+    record's, their slots refuse assignment and deletion.
     """
 
     __slots__ = ("_entries", "_arities", "symbols", "_by_name", "_hash", "_printer")
@@ -77,14 +82,16 @@ class Signature:
             if not isinstance(arity, int) or isinstance(arity, bool) or arity < 0:
                 raise SignatureError(f"bad arity for {_shown(name)}: {_shown(arity)}")
             by_name[name] = i
-        self._entries = entries
-        self._arities = tuple(arity for _, arity in entries)
-        self.symbols = tuple(
-            OpSymbol(self, i, name) for i, (name, _) in enumerate(entries)
-        )
-        self._by_name = by_name
-        self._hash = hash(entries)
-        self._printer = None  # print tables, built by terms on first use
+        put = object.__setattr__
+        put(self, "_entries", entries)
+        put(self, "_arities", tuple(arity for _, arity in entries))
+        put(self, "symbols", tuple(OpSymbol(self, i, name) for i, (name, _) in enumerate(entries)))
+        put(self, "_by_name", by_name)
+        put(self, "_hash", hash(entries))
+        put(self, "_printer", None)  # print tables, built by terms on first use
+
+    __setattr__ = _Record.__setattr__
+    __delattr__ = _Record.__delattr__
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -272,5 +272,6 @@ def _print_tables(signature: Signature) -> tuple[tuple[str, ...], list]:
             name + "(" if arity else name for name, arity in signature.entries()
         )
         owed = [() if arity else None for arity in signature._arities]
-        tables = signature._printer = (heads, owed)
+        tables = (heads, owed)
+        object.__setattr__(signature, "_printer", tables)
     return tables

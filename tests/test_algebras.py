@@ -550,8 +550,8 @@ def refuse_every_field_change(algebra, tables):
 
 
 def test_fields_stay_as_built_after_a_bytes_scan():
-    # the scan keeps the packed tables in the algebra; a field changed
-    # under them would leave its verdicts stale
+    # the scan keeps what it reads of the tables in the algebra; a field
+    # changed under it would leave its verdicts stale
     law = parse_equation(BIN, ["x", "y", "z", "w"], "f(x,y)", "f(y,x)")
     z3 = [[(x + y) % 3 for x in range(3) for y in range(3)], [0], [1]]
     left = [[x for x in range(3) for _ in range(3)], [0], [1]]

@@ -69,7 +69,7 @@ def test_enum_over_limit(capsys):
 
 def test_non_string_symbol_name_is_usage_error(capsys, tmp_path):
     sig = tmp_path / "sig.json"
-    sig.write_text('{"symbols": [{"name": 5, "arity": 0}]}')
+    sig.write_text('{"symbols": [{"name": 5, "arity": 0}]}', encoding="utf-8")
     code, out, err = run(capsys, "depth", "--sig", str(sig), "z")
     assert (code, out) == (2, "")
     assert err == "ua: error: symbol name at index 0 is not a string: int\n"
@@ -79,7 +79,7 @@ def test_repeated_theory_variable_is_usage_error(capsys, tmp_path):
     theory = tmp_path / "theory.json"
     theory.write_text(json.dumps({"name": "t", "equations": [
         {"label": "comm", "vars": ["x", "x"], "lhs": "xor(x,x)", "rhs": "e"}
-    ]}))
+    ]}), encoding="utf-8")
     code, out, err = run(
         capsys, "sat", "--sig", XOR, "--alg", B2_XOR, "--theory", str(theory)
     )
@@ -89,7 +89,9 @@ def test_repeated_theory_variable_is_usage_error(capsys, tmp_path):
 
 def test_long_value_in_a_file_gives_a_short_error_line(tmp_path):
     sig = tmp_path / "sig.json"
-    sig.write_text(json.dumps({"symbols": [{"name": "f", "arity": "7" * 10 ** 6}]}))
+    sig.write_text(
+        json.dumps({"symbols": [{"name": "f", "arity": "7" * 10 ** 6}]}), encoding="utf-8"
+    )
     proc = subprocess.run(
         [sys.executable, "-m", "ualgebra", "depth", "--sig", str(sig), "f"],
         capture_output=True,
@@ -102,11 +104,11 @@ def test_long_value_in_a_file_gives_a_short_error_line(tmp_path):
 
 def test_deeply_nested_json_is_usage_error(tmp_path):
     deep = tmp_path / "deep.json"
-    deep.write_text("[" * 200000 + "]" * 200000)
+    deep.write_text("[" * 200000 + "]" * 200000, encoding="utf-8")
     proc = subprocess.run(
         [sys.executable, "-m", "ualgebra", "depth", "--sig", str(deep), "z"],
         capture_output=True,
-        text=True,
+        encoding="utf-8",
     )
     assert proc.returncode == 2
     assert proc.stdout == ""
@@ -122,7 +124,7 @@ def test_closed_stdout_is_not_an_error(tmp_path):
         {"name": "a", "arity": 0},
         {"name": "b", "arity": 0},
         {"name": "c", "arity": 0},
-    ]}))
+    ]}), encoding="utf-8")
     with subprocess.Popen(
         [sys.executable, "-m", "ualgebra", "enum", "--sig", str(sig), "--max-len", "11"],
         stdout=subprocess.PIPE,
@@ -167,7 +169,7 @@ def test_long_path_to_bad_json_gives_a_short_error_line(capsys, tmp_path):
         folder = folder / ("d" * 200)
     folder.mkdir(parents=True)
     path = str(folder / "bad.json")
-    (folder / "bad.json").write_text("not json")
+    (folder / "bad.json").write_text("not json", encoding="utf-8")
     code, out, err = run(capsys, "depth", "--sig", path, "z")
     assert (code, out) == (2, "")
     assert err == (
@@ -183,11 +185,13 @@ def test_output_is_the_same_under_every_hash_seed(tmp_path):
     # and no report may follow it.  Both algebra files list names taken from
     # set differences: missing and unknown tables, then unknown ones alone
     both = tmp_path / "both.json"
-    both.write_text(json.dumps({"carrier": 2, "tables": {"e": [0], "w": [0], "x": [0]}}))
+    both.write_text(
+        json.dumps({"carrier": 2, "tables": {"e": [0], "w": [0], "x": [0]}}), encoding="utf-8"
+    )
     extra = tmp_path / "extra.json"
     extra.write_text(json.dumps({"carrier": 2, "tables": {
         "e": [0], "i": [0, 1], "m": [0] * 4, "t": [0] * 8, "x": [0], "w": [0],
-    }}))
+    }}), encoding="utf-8")
     times3 = ",".join(f"{x}:{3 * x % 4}" for x in range(12))
     commands = [
         ["sat", "--sig", PROJ, "--alg", PROJ_ALG, "--theory", PROJ_THEORY],
@@ -321,7 +325,7 @@ def test_smoke_runs_every_golden_in_a_real_process():
     proc = subprocess.run(
         [sys.executable, smoke.__file__, sys.executable, "-m", "ualgebra"],
         capture_output=True,
-        text=True,
+        encoding="utf-8",
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert (proc.returncode, proc.stderr) == (0, ""), proc.stdout + proc.stderr

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ualgebra import equations
+from ualgebra import algebras, equations
 from ualgebra.algebras import FiniteAlgebra
 from ualgebra.equations import (
     Equation,
@@ -222,8 +222,21 @@ def cap_step(size):
     return power
 
 
+def scan_modes(algebra):
+    """The algebra in each scan mode, with the `_BYTE_BITS` to scan it
+    under: bytes columns with lanes packed where a symbol's arguments fit
+    a byte, bytes columns with none packed, and lists (the same tables,
+    built as if past the byte carrier)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(algebras, "_BYTE_CARRIER", 0)
+        lists = FiniteAlgebra(algebra.signature, algebra.carrier_size, algebra.tables)
+    assert algebra._byte_tables is not None and lists._byte_tables is None
+    bits = equations._BYTE_BITS
+    return {"lanes": (algebra, bits), "bytes": (algebra, 0), "lists": (lists, bits)}
+
+
 # one variable count per carrier, for spaces of 125 to 1024 assignments; at 2
-# and 16 elements the scan's columns are bytes, at 3 to 5 lists
+# and 16 elements f/n packs its lanes into a byte, at 3 to 5 it does not
 SMALL_SPACES = {2: 8, 3: 6, 4: 5, 5: 4, 16: 2}
 
 
@@ -244,10 +257,10 @@ def test_column_scan_finds_the_least_violation_on_block_boundaries(size, n, inde
     algebra, eq = marked(size, n, index)
     want = None if index is None else digits(size, n, index)
     assert oracles.least_violation(algebra, eq) == want
-    for byte_bits in (equations._BYTE_BITS, 0):
+    for mode, (built, byte_bits) in scan_modes(algebra).items():
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(equations, "_BYTE_BITS", byte_bits)
-            assert find_violation(algebra, eq) == want, byte_bits
+            assert find_violation(built, eq) == want, mode
 
 
 # variable counts whose spaces reach past the bands into aligned blocks
@@ -305,18 +318,18 @@ def test_every_scan_schedule_agrees_with_tree_oracle(law, scalar, cap):
     """With small thresholds every schedule shape runs: column blocks from
     a space of two assignments on, aligned blocks as short as the carrier
     and carriers past the cap, over carriers 1-3, arities 0-3 and 0-4
-    variables, in both column representations: carriers 1-3 with arities
-    up to 3 always pack into bytes, and no bits to pack into forces lists.
-    The examples pin the operand order of the column pass."""
+    variables, in each scan mode: bytes with lanes (carriers 1-3 with
+    arities up to 3 always pack them), bytes without, and lists.  The
+    examples pin the operand order of the column pass."""
     algebra, eq = law
     want = oracles.least_violation(algebra, eq)
-    for byte_bits in (equations._BYTE_BITS, 0):
+    for mode, (built, byte_bits) in scan_modes(algebra).items():
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(equations, "_SCALAR_SPACE", scalar)
             patch.setattr(equations, "_BLOCK_CAP", cap)
             patch.setattr(equations, "_BYTE_BITS", byte_bits)
-            got = find_violation(algebra, eq)
-        assert got == want, byte_bits
+            got = find_violation(built, eq)
+        assert got == want, mode
 
 
 def compared(monkeypatch):
@@ -404,22 +417,41 @@ def near_miss(arity, size, index, extra=()):
     return FiniteAlgebra(Signature(entries), size, tables)
 
 
-# (arity, carrier size, variables, entry of f that g changes, column type):
-# each packing bound, arity * bits <= 8, from both sides; each space is
-# larger than the scalar loop takes, and the entry is not symmetric in its
-# arguments
+def lanes_packed(monkeypatch):
+    """A list that receives the arity of each lanes table a scan builds."""
+    arities = []
+    packed_table = equations._packed_table
+
+    def spied(table, arity, size, offset):
+        arities.append(arity)
+        return packed_table(table, arity, size, offset)
+
+    monkeypatch.setattr(equations, "_packed_table", spied)
+    return arities
+
+
+# (arity, carrier size, variables, entry of f that g changes, column type,
+# whether a step on several columns packs their lanes): each packing bound,
+# arity * bits <= 8, and the byte carrier, 256 elements, from both sides;
+# each space is larger than the scalar loop takes, and the entry is not
+# symmetric in its arguments
 PACKING = [
-    pytest.param(1, 256, 1, 200, bytes, id="unary-256"),
-    pytest.param(1, 257, 1, 200, list, id="unary-257"),
-    pytest.param(2, 16, 2, 16 * 11 + 5, bytes, id="binary-16"),
-    pytest.param(2, 17, 2, 17 * 11 + 5, list, id="binary-17"),
-    pytest.param(3, 4, 4, 16 * 3 + 4 * 1 + 2, bytes, id="ternary-4"),
-    pytest.param(3, 5, 4, 25 * 3 + 5 * 1 + 2, list, id="ternary-5"),
+    pytest.param(1, 256, 1, 200, bytes, False, id="unary-256"),
+    pytest.param(1, 257, 1, 200, list, False, id="unary-257"),
+    pytest.param(2, 16, 2, 16 * 11 + 5, bytes, True, id="binary-16"),
+    pytest.param(2, 17, 2, 17 * 11 + 5, bytes, False, id="binary-17"),
+    pytest.param(2, 255, 2, 255 * 11 + 5, bytes, False, id="binary-255"),
+    pytest.param(2, 256, 2, 256 * 11 + 5, bytes, False, id="binary-256"),
+    pytest.param(2, 257, 2, 257 * 11 + 5, list, False, id="binary-257"),
+    pytest.param(3, 4, 4, 16 * 3 + 4 * 1 + 2, bytes, True, id="ternary-4"),
+    pytest.param(3, 5, 4, 25 * 3 + 5 * 1 + 2, bytes, False, id="ternary-5"),
 ]
 
 
-@pytest.mark.parametrize("arity, size, n, index, kind", PACKING)
-def test_columns_are_bytes_up_to_each_packing_bound(monkeypatch, arity, size, n, index, kind):
+@pytest.mark.parametrize("arity, size, n, index, kind, lanes", PACKING)
+def test_columns_are_bytes_up_to_each_packing_bound(
+    monkeypatch, arity, size, n, index, kind, lanes
+):
     algebra = near_miss(arity, size, index)
     names = [f"x{i}" for i in range(n)]
     args = ",".join(names[:arity])
@@ -431,6 +463,7 @@ def test_columns_are_bytes_up_to_each_packing_bound(monkeypatch, arity, size, n,
         (f"f(g({args}){rest})", f"f(f({args}){rest})"),
         (f"u(f({args}))", f"u(g({args}))"),
     ]
+    packed = lanes_packed(monkeypatch)
     found = []
     for lhs, rhs in laws:
         eq = parse_equation(algebra.signature, names, lhs, rhs)
@@ -439,18 +472,39 @@ def test_columns_are_bytes_up_to_each_packing_bound(monkeypatch, arity, size, n,
         assert kinds == {kind}
         found.append(got)
     assert found[0] == digits(size, arity, index) + (0,) * (n - arity)
+    assert set(packed) == ({arity} if lanes else set())
 
 
-def test_one_symbol_past_its_packing_bound_puts_the_whole_scan_on_lists(monkeypatch):
-    # at 16 elements (4 bits) f/2 packs into a byte and t/3 does not
+def test_one_symbol_past_its_packing_bound_keeps_the_scan_on_bytes(monkeypatch):
+    # at 16 elements (4 bits) f/2 packs into a byte and t/3 does not: the
+    # steps of f pack their lanes, and those of t read one entry per index
     algebra = near_miss(2, 16, 16 * 11 + 5, extra=[("t", 3)])
     sig, names = algebra.signature, ["x", "y", "z"]
     fits = parse_equation(sig, names, "f(u(x),f(y,z))", "f(u(x),g(y,z))")
     mixed = parse_equation(sig, names, "t(x,x,f(y,z))", "t(x,x,g(y,z))")
+    packed = lanes_packed(monkeypatch)
     got, kinds = scanned(monkeypatch, algebra, fits)
     assert (got, kinds) == (oracles.least_violation(algebra, fits), {bytes})
     got, kinds = scanned(monkeypatch, algebra, mixed)
-    assert (got, kinds) == (oracles.least_violation(algebra, mixed), {list})
+    assert (got, kinds) == (oracles.least_violation(algebra, mixed), {bytes})
+    assert packed and set(packed) == {2}
+
+
+@pytest.mark.parametrize("size", [16, 17, 255, 256])
+def test_a_unary_polynomial_reads_a_bounded_slice_of_its_table(monkeypatch, size):
+    # with a cap of the carrier size, x0 is fixed over each block, so
+    # f(x0, -) is a unary polynomial at the int offset size * x0; the one
+    # violation, in f's last row, has the scan read every offset, where f's
+    # table from the first ones on is longer than 256 entries past 16
+    index = size * size - 2
+    algebra = near_miss(2, size, index)
+    eq = parse_equation(algebra.signature, ["x0", "x1"], "f(x0,x1)", "g(x0,x1)")
+    want = digits(size, 2, index)
+    assert oracles.least_violation(algebra, eq) == want
+    monkeypatch.setattr(equations, "_BLOCK_CAP", size)
+    for mode, (built, byte_bits) in scan_modes(algebra).items():
+        monkeypatch.setattr(equations, "_BYTE_BITS", byte_bits)
+        assert find_violation(built, eq) == want, mode
 
 
 def test_a_large_carrier_is_scanned_in_bounded_memory(tmp_path):
@@ -476,13 +530,13 @@ def sat_of_a_large_carrier(tmp_path, variables, side):
     """`ua sat` of side = side over a constants-only carrier of 10^6
     elements, in a child process: its exit status, stdout and peak RSS."""
     sig = tmp_path / "sig.json"
-    sig.write_text(json.dumps({"symbols": [{"name": "e", "arity": 0}]}))
+    sig.write_text(json.dumps({"symbols": [{"name": "e", "arity": 0}]}), encoding="utf-8")
     alg = tmp_path / "alg.json"
-    alg.write_text(json.dumps({"carrier": 10 ** 6, "tables": {"e": [0]}}))
+    alg.write_text(json.dumps({"carrier": 10 ** 6, "tables": {"e": [0]}}), encoding="utf-8")
     theory = tmp_path / "theory.json"
     theory.write_text(json.dumps({"name": "t", "equations": [
         {"label": "refl", "vars": variables, "lhs": side, "rhs": side}
-    ]}))
+    ]}), encoding="utf-8")
     # the child reports its own peak, in KiB on Linux
     code = (
         "import resource, sys\n"
@@ -573,22 +627,22 @@ STEP_LAWS = [
 def test_each_step_kind_agrees_with_the_oracle_in_late_blocks(lhs, rhs, least, size, cap):
     """Laws whose sides mix subterms over the fixed digits alone, the
     cycling ones alone, both, and constants; those that fail are planted
-    in a late block, all but one mid-block.  Each runs in both column
-    representations (p/3 puts a scan on lists at 5 elements anyway).  A
-    cap of size^2 fixes x0, x1 and x2 over each aligned block, one of size
-    fixes x3 too, and one of size - 1 puts the carrier past the cap."""
+    in a late block, all but one mid-block.  Each runs in every scan mode
+    (p/3 packs no lanes at 5 elements anyway).  A cap of size^2 fixes x0,
+    x1 and x2 over each aligned block, one of size fixes x3 too, and one
+    of size - 1 puts the carrier past the cap."""
     a, b = size - 1, 1
     algebra = planted(size, a, b)
     eq = parse_equation(algebra.signature, [f"x{i}" for i in range(5)], lhs, rhs)
     want = oracles.least_violation(algebra, eq)
     assert want == (least and least(a, b))
     block = {"aligned": size ** 2, "one-digit": size, "past-the-cap": size - 1}[cap]
-    for byte_bits in (equations._BYTE_BITS, 0):
+    for mode, (built, byte_bits) in scan_modes(algebra).items():
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(equations, "_BLOCK_CAP", block)
             patch.setattr(equations, "_BYTE_BITS", byte_bits)
-            got = find_violation(algebra, eq)
-        assert got == want, byte_bits
+            got = find_violation(built, eq)
+        assert got == want, mode
 
 
 # The re-run rule: with a cap of the carrier size c, the aligned blocks over
@@ -613,14 +667,16 @@ CARRY_LAWS = [
 
 @pytest.mark.parametrize("lhs, rhs, plant, least", CARRY_LAWS)
 @pytest.mark.parametrize(
-    "size, byte_bits, kind",
-    [(16, 8, bytes), (16, 0, list), (17, 8, list)],
-    ids=["bytes-16", "lists-16", "lists-17"],
+    "size, mode, kind",
+    [(16, "lanes", bytes), (16, "bytes", bytes), (16, "lists", list), (17, "lanes", bytes),
+     (17, "lists", list)],
+    # at 17 elements no symbol packs its lanes
+    ids=["bytes-16", "unpacked-16", "lists-16", "bytes-17", "lists-17"],
 )
 def test_a_step_re_runs_in_the_first_block_after_a_carry(
-    monkeypatch, lhs, rhs, plant, least, size, byte_bits, kind
+    monkeypatch, lhs, rhs, plant, least, size, mode, kind
 ):
-    algebra = planted(size, *plant)
+    algebra, byte_bits = scan_modes(planted(size, *plant))[mode]
     eq = parse_equation(algebra.signature, ["x0", "x1", "x2"], lhs, rhs)
     assert oracles.least_violation(algebra, eq) == least
     monkeypatch.setattr(equations, "_BLOCK_CAP", size)
@@ -716,11 +772,15 @@ def transport_laws(algebra, n):
         # m at its packing bound, from both sides
         pytest.param(cyclic_group(16), 4, id="Z16-group-4"),
         pytest.param(cyclic_group(17), 4, id="Z17-group-4"),
-        # t at its packing bound, from both sides, and t on lists past it
+        # t at its packing bound, from both sides
         pytest.param(cyclic_ring(4), 5, id="Z4-ring-5"),
         pytest.param(cyclic_ring(5), 5, id="Z5-ring-5"),
         pytest.param(cyclic_ring(16), 3, id="Z16-ring-3"),
         pytest.param(cyclic_ring(17), 3, id="Z17-ring-3"),
+        # the byte carrier, from both sides
+        pytest.param(cyclic_group(255), 2, id="Z255-group-2"),
+        pytest.param(cyclic_group(256), 2, id="Z256-group-2"),
+        pytest.param(cyclic_group(257), 2, id="Z257-group-2"),
     ],
 )
 @pytest.mark.parametrize("fixed", [False, True], ids=["any", "fixes-0"])
@@ -791,23 +851,27 @@ def test_one_equation_agrees_with_the_oracle_over_two_algebras_of_one_size(lhs, 
 
 @pytest.mark.parametrize("lhs, rhs", CACHED_LAWS)
 def test_one_equation_follows_the_scan_bounds_as_they_change(lhs, rhs):
-    # bytes and lists, and blocks of the cap, of 7 and of 2 (past the cap),
-    # each changed alone as well: a plan made under other bounds would still
-    # agree with the oracle, so the columns and blocks are checked against
-    # the bounds of each call
+    # bytes with lanes and without, lists, and blocks of the cap, of 7 and
+    # of 2 (past the cap), each changed alone as well, over the same
+    # algebras: a plan made under other bounds would still agree with the
+    # oracle, so the columns and blocks are checked against the bounds of
+    # each call, and the tables the lanes read are kept apart from those
+    # of the steps without them
     eq = parse_equation(GRP, ["x0", "x1", "x2", "x3"], lhs, rhs)
-    algebras = [cyclic_group(5), random_group_like(5, 5)]
-    wants = [oracles.least_violation(algebra, eq) for algebra in algebras]
-    for byte_bits, cap in [(8, CAP), (8, 7), (0, 7), (0, CAP), (8, 2), (8, CAP)]:
-        for algebra, want in zip(algebras, wants):
+    modes = [scan_modes(cyclic_group(5)), scan_modes(random_group_like(5, 5))]
+    wants = [oracles.least_violation(each["lanes"][0], eq) for each in modes]
+    for mode, cap in [("lanes", CAP), ("lists", CAP), ("lanes", 7), ("bytes", 7), ("lists", 7),
+                      ("bytes", CAP), ("lanes", CAP), ("lanes", 2), ("lanes", CAP)]:
+        for each, want in zip(modes, wants):
+            algebra, byte_bits = each[mode]
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(equations, "_BYTE_BITS", byte_bits)
                 patch.setattr(equations, "_BLOCK_CAP", cap)
                 blocks = compared(patch)
-                assert find_violation(algebra, eq) == want
+                assert find_violation(algebra, eq) == want, mode
             # x3 cycles in every block, so each block has a column
             kinds = {type(side) for _, *sides in blocks for side in sides if type(side) is not int}
-            assert kinds == {bytes if byte_bits else list}
+            assert kinds == {list if mode == "lists" else bytes}
             assert max(length for length, _, _ in blocks) <= cap
 
 

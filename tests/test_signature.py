@@ -17,7 +17,7 @@ from ualgebra.errors import (
 from ualgebra.oplist import check_indices, format_oplist, parse_oplist, status_of
 from ualgebra.signature import Signature
 from ualgebra.syntax import parse_term
-from ualgebra.terms import Term, build_term
+from ualgebra.terms import Term, build_term, format_term
 
 from corpus import N2, NAT
 
@@ -367,6 +367,25 @@ def test_a_copy_owns_its_symbols(clone):
         assert copied.symbol(sym) is sym
         assert copied.symbol(sym.name) is sym
         assert sym != sig.symbols[i]
+
+
+def test_slots_refuse_assignment_and_deletion():
+    # a slot set anew would leave the others stale: after _entries = (("g",
+    # 1),) the signature equalled Signature([("g", 1)]) but hashed apart
+    # from it, and arity(1) still answered from the old arities
+    s = Signature([("f", 2), ("c", 0)])
+    for name in Signature.__slots__:
+        with pytest.raises(AttributeError, match="cannot assign"):
+            setattr(s, name, getattr(s, name))
+        with pytest.raises(AttributeError, match="cannot delete"):
+            delattr(s, name)
+    with pytest.raises(AttributeError, match="cannot assign"):
+        s._entries = (("g", 1),)
+    assert s != Signature([("g", 1)])
+    assert s == Signature([("f", 2), ("c", 0)]) and hash(s) == hash(Signature(s.entries()))
+    assert (s.arity(0), s.arity(1)) == (2, 0)
+    # the print tables are still built on first use
+    assert format_term(parse_term(s, "f(c,c)")) == "f(c,c)"
 
 
 def test_extend_with_variables():
