@@ -68,7 +68,7 @@ class FiniteAlgebra(_Record):
     """A finite carrier with one total operation table per symbol."""
 
     # _scans: what the bytes column scans of `equations` keep of this
-    # algebra, made by the first of them (see equations._scan_columns)
+    # algebra, filled by use (see equations._scan_columns); None past 256
     __slots__ = ("signature", "carrier_size", "tables", "_byte_tables", "_scans")
 
     def __init__(self, signature: Signature, carrier_size: int, tables):
@@ -102,7 +102,7 @@ class FiniteAlgebra(_Record):
         # stays the faster one to evaluate with
         byte_tables = tuple(map(bytes, tables)) if carrier_size <= _BYTE_CARRIER else None
         object.__setattr__(self, "_byte_tables", byte_tables)
-        object.__setattr__(self, "_scans", None)
+        object.__setattr__(self, "_scans", None if byte_tables is None else ({}, {}))
 
     def apply(self, symbol, args: Sequence[int]) -> int:
         """Apply one operation table to a tuple of carrier elements."""

@@ -4,6 +4,8 @@ Exit codes: 0 = positive result, 1 = negative mathematical result (invalid
 term, not a homomorphism, not a model), 2 = usage, I/O, or parse failure.
 Reports go to stdout, diagnostics to stderr, and identical inputs produce
 byte-identical reports.  A reader that closes stdout early gets exit 0.
+An input too large for the available memory gives exit 2 and the one line
+`ua: error: out of memory`; no complete report was written then.
 """
 
 from __future__ import annotations
@@ -281,6 +283,9 @@ def main(argv=None) -> int:
         return code
     except UAlgebraError as exc:
         print(f"ua: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        print("ua: error: out of memory", file=sys.stderr)
         return EXIT_USAGE
     except BrokenPipeError:
         # the reader closed stdout early (`ua enum ... | head`): not an

@@ -26,14 +26,15 @@ changed on; a kept column keeps its packed int.  A theory builds one
 extended signature per variable list.
 
 Each scan's work that does not depend on the assignments is done once and
-kept by its owner.  The equation keeps its plan, made by its first column
-scan and made again when the carrier size, the algebra's bytes or a bound
-that shapes it (`_BYTE_BITS`, `_BLOCK_CAP`) differs from the last one's.  A
-bytes scan keeps in the algebra what it reads of the tables alone: each
-unary polynomial and lanes table, and each variable column of a block
-length with its packed int.  So repeated checks of one theory pay for the
-blocks alone; list columns, those of carriers past 256, are built per call,
-and nothing kept depends on a verdict.
+kept by its owner, in caches that the owner's constructor makes empty.  The
+equation keeps one plan per key: the carrier size, whether the algebra keeps
+bytes, and the bounds that shape it (`_BYTE_BITS`, `_BLOCK_CAP`); a plan is
+never changed once compiled.  A bytes scan keeps in the algebra what it reads
+of the tables alone: each unary polynomial and lanes table, and each variable
+column of a block length with its packed int.  So repeated checks of one
+theory pay for the blocks alone.  A list scan, past 256 elements, keeps
+nothing: it builds its columns per call and a unary polynomial's slice per
+step.  Nothing kept depends on a verdict.
 """
 
 from __future__ import annotations
@@ -76,8 +77,8 @@ _BYTE_BITS = 8
 class Equation(_Record):
     """Two terms over a signature extended with `context_size` variables."""
 
-    # _plan: the compiled column scan, set by its first scan (see _scan_columns)
-    __slots__ = ("context_size", "lhs", "rhs", "_plan")
+    # _plans: the compiled column scans by key, filled by use (see _scan_columns)
+    __slots__ = ("context_size", "lhs", "rhs", "_plans")
 
     def __init__(self, context_size: int, lhs: Term, rhs: Term):
         extended = lhs.signature
@@ -93,6 +94,7 @@ class Equation(_Record):
         object.__setattr__(self, "context_size", context_size)
         object.__setattr__(self, "lhs", lhs)
         object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "_plans", {})
 
     @property
     def base_size(self) -> int:
@@ -239,8 +241,7 @@ def find_violation(
 
 
 def _compile(equation, size, on_bytes):
-    # the plan of a column scan over `size` elements, led by its key (what
-    # it depends on besides the equation): the blocks and the steps
+    # the plan of a column scan over `size` elements: the blocks and the steps
     n, base = equation.context_size, equation.base_size
     arities = equation.lhs.signature._arities
     both = equation.lhs.ops + equation.rhs.ops
@@ -278,10 +279,11 @@ def _compile(equation, size, on_bytes):
             reads.append(read)
         stack.append(slots[key])
     rhs, lhs = stack
-    # plans: the steps to re-run by the first fixed digit that changed,
-    # filled in as scans need them
-    return ((size, _BYTE_BITS, _BLOCK_CAP, on_bytes), places, aligned, span, fixed,
-            program, reads, lanes_of, lhs, rhs, {})
+    # the steps to re-run by the first fixed digit that changed, 0 to fixed,
+    # then at index -1 all of them, for new columns
+    plans = [[entry for entry in program if reads[entry[0]] & (1 << fixed + 1) - (1 << changed + 1)]
+             for changed in (*range(fixed + 1), -1)]
+    return places, aligned, span, fixed, lanes_of, lhs, rhs, plans
 
 
 def _packed_table(table, arity, size, offset):
@@ -298,22 +300,19 @@ def _packed_table(table, arity, size, offset):
 
 def _scan_columns(algebra, equation, total):
     size, n = algebra.carrier_size, equation.context_size
-    tables = algebra._byte_tables
-    on_bytes = tables is not None
-    plan = getattr(equation, "_plan", None)
-    if plan is None or plan[0] != (size, _BYTE_BITS, _BLOCK_CAP, on_bytes):
-        plan = _compile(equation, size, on_bytes)
-        object.__setattr__(equation, "_plan", plan)
-    _, places, aligned, span, fixed, program, reads, lanes_of, lhs, rhs, plans = plan
-    if on_bytes:
-        # kept by the algebra for every bytes scan: the unary polynomials
-        # and lanes tables, and the variables' columns with their lanes
-        if algebra._scans is None:
-            object.__setattr__(algebra, "_scans", ({}, {}))
-        (partials, cycles), unit = algebra._scans, bytes
-    else:  # past the byte carrier: lists, built per call
-        tables, unit, partials, cycles = algebra.tables, list, {}, {}
-    values, lanes = [None] * len(reads), [None] * len(reads)
+    on_bytes = algebra._byte_tables is not None
+    key = size, _BYTE_BITS, _BLOCK_CAP, on_bytes
+    plan = equation._plans.get(key)
+    if plan is None:
+        plan = equation._plans[key] = _compile(equation, size, on_bytes)
+    places, aligned, span, fixed, lanes_of, lhs, rhs, plans = plan
+    # a bytes scan keeps in the algebra the unary polynomials and lanes
+    # tables, and the variables' columns with their lanes; a list scan,
+    # past the byte carrier, keeps nothing and so fills neither dict
+    partials, cycles = algebra._scans or ({}, {})
+    tables, unit = (algebra._byte_tables, bytes) if on_bytes else (algebra.tables, list)
+    values = [None] * (n + len(plans[-1]))
+    lanes = values[:]
     start = length = 0
     while start < total:
         # `count` runs of `step` assignments; start is a multiple of step.
@@ -325,9 +324,6 @@ def _scan_columns(algebra, equation, total):
         digits = [start // place % size for place in places[:fixed]]
         changed = -1 if new else next((i for i in range(fixed) if digits[i] != values[i]), fixed)
         values[:fixed] = digits
-        if changed not in plans:
-            rerun = (1 << fixed + 1) - (1 << changed + 1)
-            plans[changed] = [entry for entry in program if reads[entry[0]] & rerun]
         for i in range(fixed, n) if new else ():
             place = places[i]
             digit = start // place % size
@@ -373,7 +369,8 @@ def _scan_columns(algebra, equation, total):
                 table = partials.get((op, offset, stride))
                 if table is None:  # bounded: a byte table may run past 256
                     table = tables[op][offset:offset + stride * size:stride]
-                    table = partials[op, offset, stride] = table.ljust(256) if on_bytes else table
+                    if on_bytes:
+                        table = partials[op, offset, stride] = table.ljust(256)
             values[slot] = column = (
                 column.translate(table) if type(column) is bytes else unit(map(table.__getitem__, column))
             )

@@ -45,11 +45,11 @@ class _Record:
     """Base of a small immutable record.  A subclass names its fields in
     `__slots__`, which are also its `__match_args__`, and sets them in its
     own `__init__` through `object.__setattr__`.  A slot whose name starts
-    with `_` is a cache, not a field: nothing below reads it.  Two records
-    are equal when they are of one class with equal fields, never across
-    classes or with a tuple; a record shows as `Name(field=value, ...)`,
-    and pickles and copies by calling its constructor again, so a copy
-    starts with no cache."""
+    with `_` is a cache, not a field: made empty by the constructor, filled
+    by use, and read by nothing below.  Two records are equal when they are
+    of one class with equal fields, never across classes or with a tuple; a
+    record shows as `Name(field=value, ...)`, and pickles and copies by
+    calling its constructor again, so a copy starts with empty caches."""
 
     __slots__ = ()
 

@@ -88,7 +88,7 @@ class Signature:
         put(self, "symbols", tuple(OpSymbol(self, i, name) for i, (name, _) in enumerate(entries)))
         put(self, "_by_name", by_name)
         put(self, "_hash", hash(entries))
-        put(self, "_printer", None)  # print tables, built by terms on first use
+        put(self, "_printer", [])  # print tables, filled by terms on first use
 
     __setattr__ = _Record.__setattr__
     __delattr__ = _Record.__delattr__
@@ -163,7 +163,7 @@ class Signature:
 
     def __reduce__(self):
         # a copy or a pickle is built again from the entries: its own symbols,
-        # this process's hash, and no printer
+        # this process's hash, and an empty printer
         return Signature, (self._entries,)
 
     def to_json(self) -> dict:

@@ -263,15 +263,11 @@ def _printed(signature: Signature, ops: Sequence[int]) -> str | None:
     return "".join(out)
 
 
-def _print_tables(signature: Signature) -> tuple[tuple[str, ...], list]:
-    # built once per signature: each symbol's head, "name(" or "name", and
+def _print_tables(signature: Signature) -> list:
+    # filled once per signature: each symbol's head, "name(" or "name", and
     # its owed separators, None for a constant and () until first printed
-    tables = signature._printer
-    if tables is None:
-        heads = tuple(
-            name + "(" if arity else name for name, arity in signature.entries()
-        )
-        owed = [() if arity else None for arity in signature._arities]
-        tables = (heads, owed)
-        object.__setattr__(signature, "_printer", tables)
-    return tables
+    printer = signature._printer
+    if not printer:
+        heads = tuple(name + "(" if arity else name for name, arity in signature.entries())
+        printer[:] = heads, [() if arity else None for arity in signature._arities]
+    return printer

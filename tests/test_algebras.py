@@ -523,18 +523,20 @@ def test_tables_from_lists_and_from_tuples_make_one_algebra():
 
 def test_an_algebra_after_a_scan_is_like_a_fresh_one():
     # a scan of more than 64 assignments in bytes keeps tables and columns
-    # in the algebra, which its equality, hash, repr and JSON do not read
+    # in the algebra, which its equality, hash, repr and JSON do not read;
+    # they are empty in a fresh algebra and in every copy, filled after use
     scanned, fresh = (FiniteAlgebra(BIN, 3, BIN_MOD3.tables) for _ in range(2))
     eq = parse_equation(BIN, ["x", "y", "z", "w"], "f(x,f(y,f(z,w)))", "f(w,f(z,f(y,x)))")
+    assert scanned._scans == fresh._scans == ({}, {})
     assert find_violation(scanned, eq) == oracles.least_violation(scanned, eq)
-    assert scanned._scans is not None and fresh._scans is None
+    assert all(scanned._scans) and fresh._scans == ({}, {})
     assert scanned == fresh and hash(scanned) == hash(fresh)
     assert repr(scanned) == repr(fresh)
     assert scanned.to_json() == fresh.to_json()
     # copies and pickles leave the caches behind
     assert len(pickle.dumps(scanned)) == len(pickle.dumps(fresh))
     for copied in (pickle.loads(pickle.dumps(scanned)), copy.copy(scanned), copy.deepcopy(scanned)):
-        assert copied == fresh and copied._scans is None
+        assert copied == fresh and copied._scans == ({}, {})
         assert copied._byte_tables == fresh._byte_tables
         assert find_violation(copied, eq) == find_violation(fresh, eq)
 
@@ -557,7 +559,7 @@ def test_fields_stay_as_built_after_a_bytes_scan():
     left = [[x for x in range(3) for _ in range(3)], [0], [1]]
     scanned = FiniteAlgebra(BIN, 3, z3)
     assert find_violation(scanned, law) is None
-    assert scanned._scans is not None
+    assert all(scanned._scans)
     moved = FiniteAlgebra(BIN, 3, left)
     refuse_every_field_change(scanned, moved.tables)
     assert scanned == FiniteAlgebra(BIN, 3, z3)

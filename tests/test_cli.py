@@ -8,6 +8,11 @@ from pathlib import Path
 import pytest
 
 import smoke
+
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
 from ualgebra.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -135,6 +140,41 @@ def test_closed_stdout_is_not_an_error(tmp_path):
         err = proc.stderr.read()
     assert proc.returncode == 0
     assert err == b""
+
+
+@pytest.mark.skipif(resource is None, reason="needs the resource module")
+def test_running_out_of_memory_is_a_usage_error(tmp_path):
+    # an input too large for the memory at hand gives exit 2 and one line,
+    # never a traceback and exit 1, which means a negative result.  The cap
+    # is set on each child alone
+    cap = 150 * 2 ** 20
+
+    def capped():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    # a 2000-element binary table: 17 MB of JSON, about 200 MB once read
+    n = 2000
+    row = ",".join(map(str, range(n)))
+    alg = tmp_path / "alg.json"
+    alg.write_text(
+        f'{{"carrier": {n}, "tables": {{"f": [{",".join([row] * n)}], "e": [0]}}}}',
+        encoding="utf-8",
+    )
+    sig = tmp_path / "sig.json"
+    sig.write_text(json.dumps({"symbols": [
+        {"name": "f", "arity": 2}, {"name": "e", "arity": 0},
+    ]}), encoding="utf-8")
+    for argv in (
+        # 1.4 million terms of length at most 11, within the default limit
+        ["enum", "--sig", str(DATA / "group_abc_sig.json"), "--max-len", "11"],
+        ["eval", "--sig", str(sig), "--alg", str(alg), "f(e,e)"],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "ualgebra", *argv], capture_output=True, preexec_fn=capped
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, b"", b"ua: error: out of memory\n"
+        ), argv
 
 
 def test_long_argument_gives_a_short_error_line(capsys):

@@ -908,6 +908,45 @@ def test_what_scans_keep_goes_with_the_algebra():
     assert one > 20_000 and grown < one // 8, (one, grown)
 
 
+def test_a_list_scan_keeps_nothing_per_fixed_digit():
+    # past 256 elements a scan runs on lists and keeps nothing: it slices a
+    # unary polynomial for its step and drops it, so its memory follows its
+    # blocks, not the c^2 entries of a slice per value of the fixed x0
+    zc = cyclic_group(1200)
+    eq = parse_equation(GRP, ["x0", "x1"], "m(x0,m(x1,x0))", "m(m(x0,x1),x0)")
+    assert zc._byte_tables is None and find_violation(zc, eq) is None
+    tracemalloc.start()
+    try:
+        assert find_violation(zc, eq) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one slice per fixed digit would be 1200 lists of 1200 entries, 11 MB
+    assert peak < 512 * 1024, peak
+
+
+def test_an_equation_compiles_once_per_carrier_size(monkeypatch):
+    # a plan is kept per key and never replaced: one theory checked over
+    # Z4, Z5, Z4 and Z5 compiles each equation once per carrier size
+    names = [f"x{i}" for i in range(5)]
+    same = sums(names)
+    theory = Theory("t", (
+        ("same", parse_equation(GRP, names, same, same)),
+        ("assoc", parse_equation(GRP, names[:4], "m(x0,m(x1,m(x2,x3)))", "m(m(m(x0,x1),x2),x3)")),
+    ))
+    compiled = []
+    compile_plan = equations._compile
+
+    def spied(equation, size, on_bytes):
+        compiled.append((equation, size))
+        return compile_plan(equation, size, on_bytes)
+
+    monkeypatch.setattr(equations, "_compile", spied)
+    for size in (4, 5, 4, 5):
+        assert check_model(cyclic_group(size), theory) is None
+    assert compiled == [(eq, size) for size in (4, 5) for _, eq in theory.equations]
+
+
 # ------------------------------------------------------------ theories
 
 def test_xor_is_a_model():

@@ -4,6 +4,7 @@ compares by class and fields, hashes alike when equal, refuses assignment
 and deletion, shows a `Name(field=value, ...)` repr (an algebra a short
 one), matches positionally, and survives `pickle` and `copy.copy`."""
 
+import ast
 import copy
 import os
 import pickle
@@ -15,6 +16,7 @@ import pytest
 
 import smoke
 
+import ualgebra
 from ualgebra.algebras import FiniteAlgebra, HomViolation, check_homomorphism
 from ualgebra.equations import Equation, ModelFailure, Theory, find_violation, parse_equation
 from ualgebra.errors import FormatError, SignatureMismatchError
@@ -203,13 +205,15 @@ def test_constructor_errors_unchanged():
 
 def test_an_equation_after_a_scan_is_like_a_fresh_one():
     # a scan of more than 64 assignments keeps its compiled plan in the
-    # equation, in a slot that is no field
+    # equation, in a slot that is no field: empty in a fresh equation and
+    # in every copy, filled after use
     names = ["x", "y", "w", "u", "v", "s", "t"]
     law = "xor(x,xor(y,xor(w,xor(u,xor(v,xor(s,t))))))"
 
     scanned, fresh = (parse_equation(XOR, names, law, law) for _ in range(2))
+    assert scanned._plans == fresh._plans == {}
     assert find_violation(B2_XOR, scanned) is None
-    assert hasattr(scanned, "_plan") and not hasattr(fresh, "_plan")
+    assert len(scanned._plans) == 1 and fresh._plans == {}
     assert scanned == fresh and not scanned != fresh
     assert hash(scanned) == hash(fresh) and len({scanned, fresh}) == 1
     assert repr(scanned) == repr(fresh)
@@ -218,26 +222,49 @@ def test_an_equation_after_a_scan_is_like_a_fresh_one():
     for copied in (pickle.loads(pickle.dumps(scanned)), copy.copy(scanned)):
         assert copied == fresh and hash(copied) == hash(fresh)
         assert repr(copied) == repr(fresh)
-        assert not hasattr(copied, "_plan")
+        assert copied._plans == {}
 
 
 def test_no_cache_leaves_its_owner():
-    # the signature's printer, the algebra's scans and the equation's plan,
-    # each built by use, stay behind in every copy and pickle
+    # the signature's printer, the algebra's scans and the equation's plans,
+    # each made empty by its constructor and filled by use, stay behind in
+    # every copy and pickle, which start empty
     names = ["x", "y", "w", "u", "v", "s", "t"]
     law = "xor(x,xor(y,xor(w,xor(u,xor(v,xor(s,t))))))"
     signature = Signature(XOR.entries())
     algebra = FiniteAlgebra(signature, 2, B2_XOR.tables)
     equation = parse_equation(signature, names, law, law)
+    assert signature._printer == [] and equation._plans == {}
+    assert algebra._scans == ({}, {})
     assert str(Term(signature, (0, 1, 1))) == "xor(e,e)"
     assert find_violation(algebra, equation) is None
-    assert signature._printer is not None
-    assert algebra._scans is not None and hasattr(equation, "_plan")
+    assert signature._printer and equation._plans
+    assert all(algebra._scans)
     for clone in (copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))):
-        assert clone(signature)._printer is None
-        assert clone(algebra)._scans is None
-        assert not hasattr(clone(equation), "_plan")
+        assert clone(signature)._printer == []
+        assert clone(algebra)._scans == ({}, {})
+        assert clone(equation)._plans == {}
         assert clone(algebra) == algebra and clone(equation) == equation
+
+
+def test_object_setattr_is_called_only_by_constructors():
+    # object.__setattr__ gets round a record's refusal of assignment, so it
+    # may only build a value in its own __init__ (an alias such as
+    # `put = object.__setattr__` there included); a cache is made empty by
+    # its owner's constructor and only read and filled elsewhere
+    calls, outside = 0, []
+    for path in sorted(Path(ualgebra.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        inits = {id(node) for init in ast.walk(tree)
+                 if isinstance(init, ast.FunctionDef) and init.name == "__init__"
+                 for node in ast.walk(init)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+                    and isinstance(node.value, ast.Name) and node.value.id == "object"):
+                calls += 1
+                if id(node) not in inits:
+                    outside.append(f"{path.name}:{node.lineno}")
+    assert calls > 10 and outside == []
 
 
 # builds one Signature, Term, FiniteAlgebra and Equation; `dump` writes them
