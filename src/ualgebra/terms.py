@@ -39,11 +39,12 @@ ENUM_LIMIT = 12
 class Term:
     """An oplist whose machine status is exactly one complete term.
 
-    The constructor validates; code that can guarantee validity (building
-    from existing terms, parsing) goes through `_wrap` and never rescans.
-    The fields are read-only by contract but not guarded as a record's are:
-    setting them through `object.__setattr__` made `enumerate_terms`, which
-    builds one term per step, 1.2-1.7x slower.
+    The constructor validates; code that can guarantee validity (building,
+    parsing, enumeration) goes through `_wrap_all` and never rescans.  It is
+    one loop of `object.__new__` and two slot sets, no Python call per term:
+    331 176 terms in 37-56 ms, against 53-88 ms with a Python call per term.
+    The fields are read-only by contract but not guarded as a record's are;
+    `object.__setattr__` made the maker 1.6-3.7x slower.
     """
 
     __slots__ = ("signature", "ops")
@@ -58,11 +59,21 @@ class Term:
 
     @classmethod
     def _wrap(cls, signature: Signature, ops: tuple[int, ...]) -> "Term":
-        # caller guarantees ops is a valid single term over signature
-        t = object.__new__(cls)
-        t.signature = signature
-        t.ops = ops
-        return t
+        # one term through the bulk maker below, the only one that skips the check
+        return cls._wrap_all(signature, (ops,))[0]
+
+    @classmethod
+    def _wrap_all(cls, signature: Signature, oplists: Sequence[tuple[int, ...]]) -> list:
+        # caller guarantees each oplist is a valid single term over signature
+        new = object.__new__
+        out = []
+        push = out.append
+        for ops in oplists:
+            t = new(cls)
+            t.signature = signature
+            t.ops = ops
+            push(t)
+        return out
 
     def __len__(self) -> int:
         return len(self.ops)
@@ -111,7 +122,7 @@ def destructure(term: Term) -> tuple[OpSymbol, list[Term]]:
     head = term.ops[0]
     arity = signature._arities[head]
     parts = _split_valid(signature, term.ops[1:], arity)
-    return signature.symbols[head], [Term._wrap(signature, p) for p in parts]
+    return signature.symbols[head], Term._wrap_all(signature, parts)
 
 
 def fold(step: FoldStep, term: Term):
@@ -178,6 +189,7 @@ def enumerate_terms(
     Ok(k), so the oplists of length m + 1 and status Ok(k) come from
     those of length m alone, and the terms of each length are its Ok(1)
     lists.  Taking symbols in index order keeps every list lexicographic.
+    Heads `(s,)` are built once per call; one `_wrap_all` call per length.
     The filter over all |signature|^n lists lives in the test suite as
     the correctness oracle.
 
@@ -197,7 +209,7 @@ def enumerate_terms(
         raise LimitExceededError(
             f"max_len {_shown(max_len)} exceeds enumeration limit {_shown(limit)}"
         )
-    symbols = tuple(enumerate(signature._arities))
+    heads = [((s,), a) for s, a in enumerate(signature._arities)]
     # a symbol of arity a lowers the count by a - 1, so with A the largest
     # arity an Ok(k) suffix of length m can still become a term within
     # max_len only if k - 1 <= (max_len - m) * (A - 1)
@@ -209,10 +221,10 @@ def enumerate_terms(
     try:
         for m in range(1, max_len + 1):
             forests = {
-                k: [(s,) + rest for s, a in symbols for rest in forests.get(k + a - 1, ())]
+                k: [head + rest for head, a in heads for rest in forests.get(k + a - 1, ())]
                 for k in range(1, min(m, 1 + (max_len - m) * drop) + 1)
             }
-            found.extend(Term._wrap(signature, ops) for ops in forests[1])
+            found += Term._wrap_all(signature, forests[1])
     finally:
         if was_enabled:
             gc.enable()

@@ -267,6 +267,22 @@ def test_object_setattr_is_called_only_by_constructors():
     assert calls > 10 and outside == []
 
 
+def test_object_new_is_called_only_by_the_term_maker():
+    # object.__new__ skips Term.__init__ and its check, so one maker,
+    # Term._wrap_all, makes every term whose oplist is valid by construction
+    places = []
+    for path in sorted(Path(ualgebra.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        maker = {id(node) for fn in ast.walk(tree)
+                 if isinstance(fn, ast.FunctionDef) and fn.name == "_wrap_all"
+                 for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr == "__new__"
+                    and isinstance(node.value, ast.Name) and node.value.id == "object"):
+                places.append((path.name, id(node) in maker))
+    assert places == [("terms.py", True)]
+
+
 # builds one Signature, Term, FiniteAlgebra and Equation; `dump` writes them
 # pickled to stdout, `load` reads such a pickle from stdin and prints, for
 # each value read, whether it is found in a set of its freshly built twin

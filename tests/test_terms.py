@@ -1,5 +1,9 @@
 import gc
+import os
+import subprocess
+import sys
 import timeit
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -26,7 +30,13 @@ from ualgebra.terms import (
 )
 
 import oracles
+import smoke
 from corpus import BIN, CORPUS, NAT, TERN
+
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
 
 Z, S = 0, 1
 
@@ -380,20 +390,71 @@ def test_enumerate_leaves_a_disabled_collector_disabled():
 
 
 def test_enumerate_enables_the_collector_again_when_it_raises(monkeypatch):
-    wrap = Term._wrap
+    # enumeration makes each length's terms with one call of the bulk maker
+    wrap_all = Term._wrap_all
     calls = []
 
-    def failing(signature, ops):
-        calls.append(ops)
-        if len(calls) == 100:
+    def failing(signature, oplists):
+        calls.append(oplists)
+        if len(calls) == 5:
             raise MemoryError
-        return wrap(signature, ops)
+        return wrap_all(signature, oplists)
 
-    monkeypatch.setattr(Term, "_wrap", failing)
+    monkeypatch.setattr(Term, "_wrap_all", failing)
     with pytest.raises(MemoryError):
         enumerate_terms(GROUP_ABC, 8)
-    assert len(calls) == 100
+    assert len(calls) == 5
     assert gc.isenabled()
+
+
+# 1.4 million terms of length at most 11 do not fit in 150 MB
+OUT_OF_MEMORY = """
+import gc
+from ualgebra.signature import Signature
+from ualgebra.terms import enumerate_terms
+
+try:
+    enumerate_terms(Signature([("m", 2), ("i", 1), ("e", 0), ("a", 0), ("b", 0), ("c", 0)]), 11)
+except MemoryError:
+    print("MemoryError", gc.isenabled())
+"""
+
+
+@pytest.mark.skipif(resource is None, reason="needs the resource module")
+def test_enumerate_enables_the_collector_again_when_memory_runs_out():
+    # a real MemoryError, raised wherever the allocation fails; the cap is
+    # set on the child alone
+    cap = 150 * 2 ** 20
+
+    def capped():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    proc = subprocess.run(
+        [sys.executable, "-c", OUT_OF_MEMORY],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")},
+        preexec_fn=capped,
+        timeout=smoke.TIMEOUT,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"MemoryError True\n", b"")
+
+
+def test_enumerate_and_destructure_validate_nothing(monkeypatch):
+    # their oplists are valid by construction, so neither the constructor
+    # nor the machine runs; what they make is still a Term like any other
+    def refused(*args):
+        raise AssertionError("validated again")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(Term, "__init__", refused)
+        patched.setattr("ualgebra.terms.status_of", refused)
+        found = enumerate_terms(GROUP_ABC, 6)
+        children = [c for t in found for c in destructure(t)[1]]
+    assert (len(found), len(children)) == (1112, 1908)
+    for t in found + children:
+        assert type(t) is Term and t.signature is GROUP_ABC and type(t.ops) is tuple
+        twin = Term(GROUP_ABC, t.ops)
+        assert t == twin and hash(t) == hash(twin)
 
 
 # ------------------------------------------------------------ printing
