@@ -15,6 +15,10 @@ arity-0 symbols, by one-entry tables holding their values.
 `check_homomorphism` scans each table once, one row at a time: a row fixes
 every argument but the last, its target row at the mapped prefix is found
 once, and it is compared entry by entry up to its first difference.  An
+early exit pays one check per mapped value, one `range` of the source
+carrier for every row's `itertools.product`, each symbol read by index,
+and the `HomViolation`: about 3 us a map over all maps of the 8-element
+group into Z4, 0.7 us of it the record (Python 3.11, 2 shared vCPUs).  An
 algebra of at most 256 elements also keeps its tables as `bytes`, and the
 column scans of `equations` run on bytes exactly for those; when both
 carriers fit and the source has at least `_ROW_MIN` elements, a group of
@@ -60,7 +64,8 @@ _BYTE_CARRIER = 256
 # 0.51-0.80x, 0.32-0.49x and 0.47-0.81x (7-8 against 15-24 us at 16).  So
 # full scans gain from 8 up and early exits lose a few us at every size;
 # 16 keeps the maps of a search over all carrier maps (up to 8 elements),
-# most of which exit early, on the entry compare
+# most of which exit early, on the entry compare, where such an exit pays
+# only the call's set-up and the entries it reads
 _ROW_MIN = 16
 
 
@@ -187,8 +192,11 @@ def _power_within(base, exp, cap):
 
 def _check_elements(values, size, what, where="the carrier"):
     # one call per sequence: every value must be an int (never a bool)
-    # in range(size); the message names the first one that is not
+    # in range(size); the message names the first one that is not.  An
+    # exact int in range needs the first test alone
     for value in values:
+        if type(value) is int and 0 <= value < size:
+            continue
         if type(value) is bool or not (isinstance(value, int) and 0 <= value < size):
             raise CarrierMismatchError(f"{what} {_shown(value)} outside {where}")
 
@@ -240,22 +248,22 @@ def check_homomorphism(
     operation.
 
     A row (every argument but the last fixed) is compared entry by entry
-    up to its first difference.  From `_ROW_MIN` source elements, with
-    both carriers at most 256, a group of rows (every argument but the
-    last two fixed) is first compared whole as bytes, and only a group
-    that differs is read row by row (see the module docstring)."""
-    if source.signature != target.signature:
+    up to its first difference, and an early exit pays for no entry past
+    it.  From `_ROW_MIN` source elements, with both carriers at most 256,
+    a group of rows (every argument but the last two fixed) is first
+    compared whole as bytes, and only a group that differs is read row by
+    row (see the module docstring for what each exit costs)."""
+    signature = source.signature
+    if target.signature is not signature and target.signature != signature:
         raise SignatureMismatchError("algebras are over different signatures")
-    mapping = tuple(mapping)
-    if len(mapping) != source.carrier_size:
-        raise CarrierMismatchError(
-            f"mapping must cover {_shown(source.carrier_size)} elements, got {len(mapping)}"
-        )
-    _check_elements(
-        mapping, target.carrier_size, "mapping value", "the target carrier"
-    )
     s_size = source.carrier_size
     t_size = target.carrier_size
+    mapping = tuple(mapping)
+    if len(mapping) != s_size:
+        raise CarrierMismatchError(
+            f"mapping must cover {_shown(s_size)} elements, got {len(mapping)}"
+        )
+    _check_elements(mapping, t_size, "mapping value", "the target carrier")
     s_tables = source.tables
     t_tables = target.tables
     by_bytes = (
@@ -273,17 +281,18 @@ def check_homomorphism(
         mapped = bytes(mapping)
         image = mapped.ljust(256, b"\0")
         pad = bytes(256 - t_size)
-    for sym in source.signature.symbols:
-        s_table = s_tables[sym.index]
-        t_table = t_tables[sym.index]
-        if not sym.arity:
+    carrier = range(s_size)
+    for index, arity in enumerate(signature._arities):
+        s_table = s_tables[index]
+        t_table = t_tables[index]
+        if not arity:
             lhs = mapping[s_table[0]]
             if lhs != t_table[0]:
-                return HomViolation(sym, (), lhs, t_table[0])
+                return HomViolation(signature.symbols[index], (), lhs, t_table[0])
             continue
         # the rows read entry by entry: below the gate all of them, each
         # with `free` arguments before the last
-        prefix, k, start, free = (), 0, 0, sym.arity - 1
+        prefix, k, start, free = (), 0, 0, arity - 1
         if by_bytes:
             # a group fixes all but the last two arguments; the target's
             # block at its mapped prefix k, pulled back, is joined once per k
@@ -291,7 +300,7 @@ def check_homomorphism(
             group = s_size ** (free + 1)
             seconds = mapping if free else (0,)  # a unary table is one row
             joined = {}
-            for prefix in itertools.product(range(s_size), repeat=sym.arity - 1 - free):
+            for prefix in itertools.product(*(carrier,) * (arity - 1 - free)):
                 k = 0
                 for x in prefix:
                     k = k * t_size + mapping[x]
@@ -311,16 +320,16 @@ def check_homomorphism(
             else:
                 continue
         # read up to the first difference; a bytes subscript is an int
-        for tail in itertools.product(range(s_size), repeat=free):
+        for tail in itertools.product(*(carrier,) * free):
             row = k
             for x in tail:
                 row = row * t_size + mapping[x]
             row *= t_size  # the target row of the mapped prefix
-            for j in range(s_size):
+            for j in carrier:
                 lhs = mapping[s_table[start + j]]
                 rhs = t_table[row + mapping[j]]
                 if lhs != rhs:
-                    return HomViolation(sym, prefix + tail + (j,), lhs, rhs)
+                    return HomViolation(signature.symbols[index], prefix + tail + (j,), lhs, rhs)
             start += s_size
     return None
 

@@ -85,11 +85,12 @@ class Equation(_Record):
         if rhs.signature is not extended and rhs.signature != extended:
             raise SignatureMismatchError("equation sides are over different signatures")
         n = context_size
-        if isinstance(n, bool) or not isinstance(n, int) or not 0 <= n <= len(extended):
+        count = len(extended._arities)
+        if isinstance(n, bool) or not isinstance(n, int) or not 0 <= n <= count:
             raise SignatureMismatchError(
                 f"context size {_shown(n)} does not fit the signature"
             )
-        if any(extended._arities[len(extended) - n:]):
+        if any(extended._arities[count - n:]):
             raise SignatureMismatchError("variable symbols must have arity 0")
         object.__setattr__(self, "context_size", context_size)
         object.__setattr__(self, "lhs", lhs)
@@ -233,7 +234,7 @@ def find_violation(
     # each assignment as the variables' one-entry tables, in the same order;
     # a ground equation has the one assignment () and needs none
     singletons = tuple(zip(range(size))) if n else ()
-    for extra in itertools.product(singletons, repeat=n):
+    for extra in itertools.product(*(singletons,) * n):
         rhs, lhs = _evaluate_ops(arities, tables + extra, size, both)
         if lhs != rhs:
             return next(zip(*extra), ())

@@ -1,4 +1,5 @@
 import copy
+import enum
 import itertools
 import json
 import pickle
@@ -15,7 +16,7 @@ from ualgebra.algebras import (
     check_homomorphism,
     is_homomorphism,
 )
-from ualgebra.equations import find_violation, parse_equation
+from ualgebra.equations import evaluate_with, find_violation, parse_equation
 from ualgebra.errors import CarrierMismatchError, FormatError, SignatureMismatchError
 from ualgebra.signature import Signature
 from ualgebra.terms import Term, build_term, destructure, enumerate_terms, fold
@@ -205,6 +206,48 @@ def test_mapping_rejects_bool():
         check_homomorphism(N4, N2, [False, True, False, True])
 
 
+class Bit(enum.IntEnum):
+    ZERO = 0
+    ONE = 1
+    TWO = 2
+
+
+def test_carrier_elements_are_ints_but_never_bools():
+    """The one element check of tables, mappings, `apply` arguments and
+    `evaluate_with` assignments takes an int subclass such as an IntEnum
+    member, in range, as the int it equals, and refuses a bool in each
+    place with the same message, as it does an IntEnum member out of
+    range."""
+    x = parse_equation(NAT, ["x"], "x", "x").lhs
+
+    def uses(zero, one):
+        algebra = FiniteAlgebra(NAT, 2, [[zero], [one, zero]])
+        return (
+            algebra.tables,
+            check_homomorphism(N4, N2, [zero, one, zero, one]),
+            N4.apply("s", (one,)),
+            evaluate_with(N4, 1, x, (one,)),
+        )
+
+    assert uses(Bit.ZERO, Bit.ONE) == uses(0, 1) == (((0,), (1, 0)), None, 2, 1)
+    for bad in (True, False, Bit.TWO):
+        shown = repr(bad)
+        with pytest.raises(CarrierMismatchError) as table:
+            FiniteAlgebra(NAT, 2, [[0], [1, bad]])
+        with pytest.raises(CarrierMismatchError) as mapping:
+            check_homomorphism(N4, N2, [0, 1, 0, bad])
+        with pytest.raises(CarrierMismatchError) as argument:
+            N2.apply("s", (bad,))
+        with pytest.raises(CarrierMismatchError) as assignment:
+            evaluate_with(N2, 1, x, (bad,))
+        assert [str(e.value) for e in (table, mapping, argument, assignment)] == [
+            f"table for s has entry {shown} outside the carrier",
+            f"mapping value {shown} outside the target carrier",
+            f"argument {shown} outside the carrier",
+            f"assignment value {shown} outside the carrier",
+        ]
+
+
 # ------------------------------------------------------------ row scan
 # check_homomorphism scans every table by rows, entry by entry, when the
 # source has fewer than _ROW_MIN elements or a carrier more than 256;
@@ -318,6 +361,38 @@ def test_row_path_around_the_gate(sig, s_size, t_size, seed, plants):
 @with_planted_examples
 def test_row_path_around_the_byte_bound(sig, s_size, t_size, seed, plants):
     check_least_violation(sig, s_size, t_size, seed, plants)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_every_carrier_map_below_the_gate(seed):
+    """Every map from a source of 1-5 elements into a target of 1-3 gives
+    the oracle's whole least violation.  Each pair of algebras comes with
+    a homomorphism and again with one entry of t or u broken for it, so
+    the maps near it break on the later symbols too."""
+    rng = random.Random(seed)
+    broken_at = set()
+    for s_size, t_size in itertools.product(range(1, 6), range(1, 4)):
+        source, target, hom = hom_case(rng, MIXED, s_size, t_size)
+        sources = [source]
+        if len(set(hom)) > 1:  # an entry can be given another image
+            sym = MIXED.symbol(rng.choice("tu"))
+            broken = [list(table) for table in source]
+            i = rng.randrange(len(broken[sym.index]))
+            kept = hom[broken[sym.index][i]]
+            broken[sym.index][i] = next(x for x in range(s_size) if hom[x] != kept)
+            sources.append(broken)
+        dst = FiniteAlgebra(MIXED, t_size, target)
+        for tables in sources:
+            src = FiniteAlgebra(MIXED, s_size, tables)
+            for mapping in itertools.product(range(t_size), repeat=s_size):
+                got = check_homomorphism(src, dst, mapping)
+                want = oracles.least_hom_violation(src, dst, mapping)
+                if want is None:
+                    assert got is None
+                else:
+                    assert (got.symbol, got.args, got.lhs, got.rhs) == want
+                    broken_at.add(got.symbol.name)
+    assert broken_at == {"b", "c", "t", "u"}
 
 
 # a 4-ary symbol: groups of s^2 entries, one per prefix of two arguments
